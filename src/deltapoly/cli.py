@@ -279,7 +279,7 @@ def cmd_poly(args) -> int:
                 print(rec)
         return EXIT_OK
     if isinstance(value, Graph) and not args.via_system:
-        poly = graph_poly(value, args.which)
+        poly = graph_poly(value, args.which, force=args.force)
     else:
         poly = poly_direct(_as_setsystem(value), args.which, force=args.force)
     _print_poly(poly, args.format)

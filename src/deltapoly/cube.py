@@ -1,0 +1,184 @@
+"""Families of subsets as one 2^n-bit indicator integer.
+
+Bit x of an indicator is set iff the subset with mask x is a member.
+Every vertex flip on element i is then a constant number of whole-cube
+shift/mask operations with M_i, the indicator of the cells whose bit i is
+clear, and a distance ball grows by one radius with n of them: the GF(2)
+zeta/Moebius shift-and-mask step (Yates 1937; Bjoerklund, Husfeldt, Kaski
+and Koivisto, "Fourier meets Moebius", STOC 2007).
+
+This module is the only one that knows the format.  Masks are built per
+call; they cost O(n^2) big-int operations, next to the 2^n-cell work.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+from typing import Iterable, Iterator, Literal
+
+CubeFlip = Literal["loopc", "dualpivot"]
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def indicator(family: Iterable[int], n: int) -> int:
+    """The 2^n-bit indicator of a family of subset masks over n elements."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in family:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def members(ind: int) -> tuple[int, ...]:
+    """The subset masks of an indicator, ascending."""
+    bits = bin(ind)[:1:-1].encode().translate(_BITS)
+    return tuple(compress(range(len(bits)), bits))
+
+
+def element_masks(n: int) -> list[int]:
+    """M_0 .. M_{n-1}: M_i marks the cells whose bit i is clear."""
+    masks = [0] * n
+    if n:
+        m = (1 << (1 << (n - 1))) - 1
+        masks[n - 1] = m
+        for i in range(n - 2, -1, -1):
+            m ^= m << (1 << i)
+            masks[i] = m
+    return masks
+
+
+def layer_masks(n: int) -> list[int]:
+    """L_0 .. L_n: L_k marks the cells whose mask has k elements."""
+    layers = [1]
+    for j in range(n):
+        shift = 1 << j
+        layers = [lo | (hi << shift) for lo, hi in zip(layers + [0], [0] + layers)]
+    return layers
+
+
+def pivot(s: int, i: int, m: int) -> int:
+    """Translate every member by {i}; m is M_i."""
+    shift = 1 << i
+    return ((s & m) << shift) | ((s >> shift) & m)
+
+
+def loopc(s: int, i: int, m: int) -> int:
+    """Loop complementation on i: X + i toggles when X (without i) is a member."""
+    return s ^ ((s & m) << (1 << i))
+
+
+def superset_zeta(s: int, i: int, m: int) -> int:
+    """Dual of loopc on i: X (without i) toggles when X + i is a member."""
+    return s ^ ((s >> (1 << i)) & m)
+
+
+def full_flip(family: Iterable[int], n: int, kind: CubeFlip) -> tuple[int, ...]:
+    """Whole-ground loopc (subset parities) or dual pivot (superset parities)."""
+    s = indicator(family, n)
+    step = loopc if kind == "loopc" else superset_zeta
+    for i, m in enumerate(element_masks(n)):
+        s = step(s, i, m)
+    return members(s)
+
+
+def first_layer(s: int, layers: list[int]) -> int:
+    """Index of the first layer mask that meets a nonempty indicator."""
+    for k, layer in enumerate(layers):
+        if s & layer:
+            return k
+    raise ValueError("the indicator meets no layer: the family is empty")
+
+
+def distance_counts(ball: int, masks: list[int], region: int) -> list[int]:
+    """counts[k]: cells of region at distance exactly k from the family ball.
+
+    The ball of radius k + 1 is the radius-k ball together with its pivot
+    on every element.
+    """
+    if not ball:
+        raise ValueError("an empty family has no distances")
+    target = region.bit_count()
+    seen = (ball & region).bit_count()
+    counts = [seen]
+    while seen < target:
+        grown = ball
+        for i, m in enumerate(masks):
+            shift = 1 << i
+            grown |= ((ball & m) << shift) | ((ball >> shift) & m)
+        ball = grown
+        now = (ball & region).bit_count()
+        counts.append(now - seen)
+        seen = now
+    return counts
+
+
+def _gray_walk(n: int) -> Iterator[tuple[int, bool]]:
+    """(element, entering) per step of the reflected Gray code over subsets Z.
+
+    The walk starts after the empty set and visits every other subset once.
+    """
+    z = 0
+    for g in range(1, 1 << n):
+        i = (g & -g).bit_length() - 1
+        z ^= 1 << i
+        yield i, bool(z >> i & 1)
+
+
+def _add(counts: list[int], more: list[int]) -> None:
+    for k, c in enumerate(more):
+        counts[k] += c
+
+
+def q1_counts(family: Iterable[int], n: int) -> list[int]:
+    """Histogram of d(X, F) over all subsets X."""
+    return distance_counts(indicator(family, n), element_masks(n), (1 << (1 << n)) - 1)
+
+
+def q2_counts(family: Iterable[int], n: int) -> list[int]:
+    """Histogram of d(V, loopc_Z F) over all Z: n minus the top layer met."""
+    masks = element_masks(n)
+    top_down = layer_masks(n)[::-1]
+    s = indicator(family, n)
+    counts = [0] * (n + 1)
+    counts[first_layer(s, top_down)] += 1
+    for i, _ in _gray_walk(n):
+        s = loopc(s, i, masks[i])
+        counts[first_layer(s, top_down)] += 1
+    return counts
+
+
+def q3_counts(family: Iterable[int], n: int) -> list[int]:
+    """Histogram of d(Z, loopc_Z F) over all Z.
+
+    T_Z = pivot_Z(loopc_Z F) has d(Z, loopc_Z F) as its lowest layer.  When
+    e enters Z, T becomes P_e L_e T; when e leaves, L_e P_e T.
+    """
+    masks = element_masks(n)
+    layers = layer_masks(n)
+    t = indicator(family, n)
+    counts = [0] * (n + 1)
+    counts[first_layer(t, layers)] += 1
+    for i, entering in _gray_walk(n):
+        m = masks[i]
+        t = pivot(loopc(t, i, m), i, m) if entering else loopc(pivot(t, i, m), i, m)
+        counts[first_layer(t, layers)] += 1
+    return counts
+
+
+def Q1_counts(family: Iterable[int], n: int) -> list[int]:
+    """Histogram of d(X, loopc_Z F) over all pairs Z inside X.
+
+    The region of the supersets of Z loses the cells without e when e
+    enters Z, and gains their pivot on e back when e leaves.
+    """
+    masks = element_masks(n)
+    s = indicator(family, n)
+    region = (1 << (1 << n)) - 1
+    counts = [0] * (n + 1)
+    _add(counts, distance_counts(s, masks, region))
+    for i, entering in _gray_walk(n):
+        m = masks[i]
+        s = loopc(s, i, m)
+        region = region & ~m if entering else region | ((region >> (1 << i)) & m)
+        _add(counts, distance_counts(s, masks, region))
+    return counts

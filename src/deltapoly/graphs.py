@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotAGraphError, PivotUndefinedError
 from .gf2 import Gf2Matrix, det_nullity, ppt, support_set_system
-from .interlace import UniPoly, Which
+from .interlace import UniPoly, Which, direct_guard
 from .setsystem import GroundSet, Mask, SetSystem, Subset, iter_submasks
 
 
@@ -202,15 +202,17 @@ def elementary_pivots(graph: Graph) -> list[Mask]:
     return minimal
 
 
-def graph_poly(graph: Graph, which: Which) -> UniPoly:
+def graph_poly(graph: Graph, which: Which, force: bool = False) -> UniPoly:
     """Interlace-family polynomial from induced-subgraph nullities.
 
     q1 sums nullities of induced subgraphs, q2 of diagonal toggles, q3 of
     induced subgraphs after toggling every diagonal entry, and Q1 runs
     over toggles inside each induced subgraph.  Must match the set-system
-    polynomial of the support system.
+    polynomial of the support system.  Refuses the sizes poly_direct
+    refuses unless forced.
     """
     n = graph.n
+    direct_guard(n, which, force)
     full = graph.ground.full_mask
     coeffs: dict[int, int] = {}
     if which == "q1":

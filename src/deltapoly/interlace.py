@@ -12,13 +12,14 @@ from __future__ import annotations
 from math import comb
 from typing import Literal
 
+from . import cube
 from .errors import SizeGuardError
 from .setsystem import Mask, SetSystem, iter_submasks
 
 Which = Literal["Q1", "q1", "q2", "q3"]
 
-MULTIVARIATE_GUARD = 14  # 3^n monomials are materialized
-DIRECT_GUARD = 20  # 2^n (or 3^n) summation loops
+MULTIVARIATE_GUARD = 14  # 3^n monomials are materialized; also bounds Q1's 3^n cells
+DIRECT_GUARD = 20  # 2^n-cell summations of q1, q2, q3
 
 
 class UniPoly:
@@ -235,7 +236,9 @@ def multivariate_Q(system: SetSystem, force: bool = False) -> MultiQPoly:
 
     For each C the dual pivot is applied incrementally (Gray-code order),
     then every disjoint B contributes the pivot-translated minimum
-    distance of the transformed system.
+    distance of the transformed system.  The scan is brute force over the
+    member tuple on purpose: it shares no code with the indicator kernel
+    behind poly_direct, so its specializations are that kernel's oracle.
     """
     system.require_proper()
     n = system.ground.n
@@ -290,54 +293,30 @@ def permute_Q_under_flip(table: MultiQPoly, kind, subset) -> MultiQPoly:
     return MultiQPoly(table.ground, out)
 
 
+def direct_guard(n: int, which: Which, force: bool) -> None:
+    """Refuse a direct summation too large to finish: 3^n cells for Q1, else 2^n."""
+    limit = MULTIVARIATE_GUARD if which == "Q1" else DIRECT_GUARD
+    if n > limit and not force:
+        raise SizeGuardError(f"n={n} exceeds the direct-summation guard {limit} for {which}")
+
+
+_COUNTS = {"q1": cube.q1_counts, "q2": cube.q2_counts, "q3": cube.q3_counts, "Q1": cube.Q1_counts}
+
+
 def poly_direct(system: SetSystem, which: Which, force: bool = False) -> UniPoly:
     """Compute one of Q1, q1, q2, q3 straight from its summation formula.
 
     q1 sums distances of all subsets; q2 sums, over every loop
     complementation, the distance to the full set, and q3 the distance to
     the complemented subset itself; Q1 sums over subset pairs Z inside X.
-    No multivariate table is built; agreement with
-    specialize(multivariate_Q(...)) is a standing oracle.
+    The sums run on the whole-cube indicator kernel of ``cube``: distance
+    balls for q1 and Q1, a Gray-code walk of loop complementations for
+    q2, q3 and Q1.  No multivariate table is built; agreement with the
+    brute-force specialize(multivariate_Q(...)) is a standing oracle.
     """
     system.require_proper()
+    if which not in _COUNTS:
+        raise ValueError(f"unknown polynomial name {which!r}")
     n = system.ground.n
-    if n > DIRECT_GUARD and not force:
-        raise SizeGuardError(f"n={n} exceeds the direct-summation guard {DIRECT_GUARD}")
-    full = system.ground.full_mask
-    coeffs: dict[int, int] = {}
-    if which == "q1":
-        fam = system.family
-        for x in range(1 << n):
-            d = min((x ^ m).bit_count() for m in fam)
-            coeffs[d] = coeffs.get(d, 0) + 1
-        return UniPoly(coeffs)
-    if which in ("q2", "q3"):
-        cur = system
-        cur_z = 0
-        for g in range(1 << n):
-            z = g ^ (g >> 1)
-            flip = z ^ cur_z
-            if flip:
-                cur = cur.loopc(flip)
-                cur_z = z
-            target = full if which == "q2" else z
-            d = min((target ^ m).bit_count() for m in cur.family)
-            coeffs[d] = coeffs.get(d, 0) + 1
-        return UniPoly(coeffs)
-    if which == "Q1":
-        cur = system
-        cur_z = 0
-        for g in range(1 << n):
-            z = g ^ (g >> 1)
-            flip = z ^ cur_z
-            if flip:
-                cur = cur.loopc(flip)
-                cur_z = z
-            fam = cur.family
-            free = full & ~z
-            for t in iter_submasks(free):
-                x = z | t
-                d = min((x ^ m).bit_count() for m in fam)
-                coeffs[d] = coeffs.get(d, 0) + 1
-        return UniPoly(coeffs)
-    raise ValueError(f"unknown polynomial name {which!r}")
+    direct_guard(n, which, force)
+    return UniPoly.from_coeffs(_COUNTS[which](system.family, n))

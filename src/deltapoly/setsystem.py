@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
+from . import cube
 from .errors import CapExceededError, GroundSetError, ImproperSystemError, SizeGuardError
 
 MAX_GROUND = 62  # subsets must fit a single machine-word-sized bitmask
@@ -276,26 +277,6 @@ class VertexFlipWord:
 # -- whole-ground flips by their closed formulas ------------------------------
 
 
-def _subset_parity_transform(system: SetSystem, superset_version: bool, force: bool) -> SetSystem:
-    n = system.ground.n
-    if n > PARITY_TRANSFORM_GUARD and not force:
-        raise SizeGuardError(f"n={n} exceeds the parity-transform guard {PARITY_TRANSFORM_GUARD}")
-    size = 1 << n
-    vec = bytearray(size)
-    for m in system.family:
-        vec[m] ^= 1
-    # zeta transform over GF(2): accumulate subset (or superset) parities
-    for i in range(n):
-        bit = 1 << i
-        for x in range(size):
-            if x & bit:
-                if superset_version:
-                    vec[x ^ bit] ^= vec[x]
-                else:
-                    vec[x] ^= vec[x ^ bit]
-    return SetSystem(system.ground, tuple(x for x in range(size) if vec[x]))
-
-
 def full_flip_explicit(system: SetSystem, kind: FlipKind, force: bool = False) -> SetSystem:
     """Flip on the whole ground set, computed by the closed membership rules.
 
@@ -303,16 +284,20 @@ def full_flip_explicit(system: SetSystem, kind: FlipKind, force: bool = False) -
     loopc: a set belongs iff it contains an odd number of input members.
     dualpivot: a set belongs iff it is contained in an odd number of members.
 
-    Must agree with the element-by-element composition; tests enforce this.
+    The parity rules are the GF(2) subset and superset zeta transforms,
+    run as n whole-cube shift/mask steps on the indicator kernel of
+    ``cube``.  Must agree with the element-by-element composition; tests
+    enforce this.
     """
     full = system.ground.full_mask
     if kind == "pivot":
         return SetSystem(system.ground, tuple(full ^ m for m in system.family))
-    if kind == "loopc":
-        return _subset_parity_transform(system, superset_version=False, force=force)
-    if kind == "dualpivot":
-        return _subset_parity_transform(system, superset_version=True, force=force)
-    raise ValueError(f"unknown flip kind {kind!r}")
+    if kind not in ("loopc", "dualpivot"):
+        raise ValueError(f"unknown flip kind {kind!r}")
+    n = system.ground.n
+    if n > PARITY_TRANSFORM_GUARD and not force:
+        raise SizeGuardError(f"n={n} exceeds the parity-transform guard {PARITY_TRANSFORM_GUARD}")
+    return SetSystem(system.ground, cube.full_flip(system.family, n, kind))
 
 
 # -- distance ------------------------------------------------------------------

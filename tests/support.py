@@ -19,7 +19,7 @@ from deltapoly import (
     graph_to_system,
 )
 
-LABELS = "abcdefgh"
+LABELS = "abcdefghijklmnop"
 
 
 def random_set_system(rng: random.Random, n: int, max_members: int | None = None) -> SetSystem:

@@ -205,6 +205,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert main(["poly", "--which", "Q", "--input", str(big)]) == 2
     capsys.readouterr()
+    labels = [f"v{i}" for i in range(30)]
+    path = tmp_path / "path30.json"
+    path.write_text(
+        json.dumps({"type": "graph", "vertices": labels, "edges": [list(e) for e in zip(labels, labels[1:])]})
+    )
+    for via in ([], ["--via-system"]):
+        assert main(["poly", "--which", "q1", *via, "--input", str(path)]) == 2
+        capsys.readouterr()
     unknown = tmp_path / "word.json"
     unknown.write_text(M0_DOC)
     assert main(["apply", "--word", "+z", "--input", str(unknown)]) == 2

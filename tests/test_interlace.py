@@ -60,11 +60,14 @@ def test_multivariate_table_shape():
     assert len(tiny) == 1
     for which in ("Q1", "q1", "q2", "q3"):
         assert specialize(tiny, which) == UniPoly.const(1)
+        assert poly_direct(point, which) == UniPoly.const(1)
+    for kind in ("pivot", "loopc", "dualpivot"):
+        assert full_flip_explicit(point, kind) == point
 
 
 def test_single_member_system_q1_is_binomial_power():
-    for n, member in [(1, ["a"]), (3, ["a", "c"]), (2, [])]:
-        labels = ["a", "b", "c"][:n]
+    for n, member in [(1, ["a"]), (3, ["a", "c"]), (2, []), (9, ["b", "i"]), (12, ["a", "f", "l"])]:
+        labels = list("abcdefghijkl"[:n])
         system = SetSystem.from_sets(labels, [member])
         assert poly_direct(system, "q1") == UniPoly.binomial_power(1, n)
 
@@ -78,16 +81,24 @@ def test_specialize_equals_direct(delta_corpus, vf_corpus):
 
 def test_improper_rejected():
     bad = SetSystem.from_sets(["a"], [])
-    with pytest.raises(ImproperSystemError):
-        poly_direct(bad, "q1")
+    for which in ("Q1", "q1", "q2", "q3"):
+        with pytest.raises(ImproperSystemError):
+            poly_direct(bad, which)
     with pytest.raises(ImproperSystemError):
         multivariate_Q(bad)
+    # the whole-ground flips are defined on improper systems too
+    for kind in ("pivot", "loopc", "dualpivot"):
+        assert full_flip_explicit(bad, kind) == bad
 
 
 def test_size_guard():
     big = SetSystem.from_sets([f"x{i}" for i in range(15)], [[]])
     with pytest.raises(SizeGuardError):
         multivariate_Q(big)
+    # Q1 sums over 3^n pairs and shares the multivariate limit; q1 sums 2^n
+    with pytest.raises(SizeGuardError):
+        poly_direct(big, "Q1")
+    assert poly_direct(big, "q1") == UniPoly.binomial_power(1, 15)
 
 
 def test_permutation_under_flips_matches_recomputation():

@@ -1,7 +1,9 @@
 """Core set-system behaviour: flips, distance, restriction, orbits."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltapoly import (
@@ -14,10 +16,11 @@ from deltapoly import (
     apply_vertex_flip,
     distance,
     full_flip_explicit,
+    graph_to_system,
     restrict_delete,
     vf_orbit,
 )
-from support import FIG_ORBIT, M0
+from support import FIG_ORBIT, M0, random_graph
 
 
 @st.composite
@@ -101,8 +104,17 @@ def test_full_flip_explicit_examples():
     assert 0 in dual.family  # M0 has an odd number of members
 
 
-@given(systems(max_n=8))
+def _graph_system(n: int) -> SetSystem:
+    return graph_to_system(random_graph(random.Random(n), n))
+
+
+@given(systems(max_n=12))
 @settings(max_examples=80)
+@example(_graph_system(9))
+@example(_graph_system(10))
+@example(_graph_system(11))
+@example(_graph_system(12))
+@example(SetSystem(GroundSet(tuple(f"e{i}" for i in range(10))), ()))
 def test_full_flip_explicit_equals_composition(system):
     full = system.ground.full_mask
     assert full_flip_explicit(system, "pivot") == system.pivot(full)

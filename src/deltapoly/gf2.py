@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import PivotUndefinedError, SizeGuardError
-from .setsystem import GroundSet, Mask, SetSystem, Subset
+from .setsystem import GroundSet, SetSystem, Subset, pack_bits, scatter_bits
 
 SUPPORT_GUARD = 20  # 2^n principal minors are enumerated
 
@@ -158,18 +158,11 @@ class Gf2Matrix:
                 rows[i] ^= 1 << i
         return Gf2Matrix(self.ground, tuple(rows))
 
-    def principal_rows(self, x: Mask) -> list[int]:
-        """Rows of the principal submatrix, columns packed to the low bits."""
-        positions = [i for i in range(self.n) if x >> i & 1]
-        out = []
-        for i in positions:
-            row = self.rows[i]
-            packed = 0
-            for j, p in enumerate(positions):
-                if row >> p & 1:
-                    packed |= 1 << j
-            out.append(packed)
-        return out
+    def principal(self, subset: Subset) -> "Gf2Matrix":
+        """Principal submatrix on the elements of the subset, in ground order."""
+        x = self.ground.coerce(subset)
+        rows = tuple(pack_bits(row, x) for i, row in enumerate(self.rows) if x >> i & 1)
+        return Gf2Matrix(self.ground.restrict(x), rows)
 
 
 def det_nullity(matrix: Gf2Matrix, subset: Subset) -> tuple[int, int]:
@@ -181,7 +174,8 @@ def det_nullity(matrix: Gf2Matrix, subset: Subset) -> tuple[int, int]:
     k = x.bit_count()
     if k == 0:
         return 1, 0
-    rank = gf2_rank(matrix.principal_rows(x))
+    # the columns outside x are zeroed rather than dropped: the rank is the same
+    rank = gf2_rank([row & x for i, row in enumerate(matrix.rows) if x >> i & 1])
     return (1 if rank == k else 0), k - rank
 
 
@@ -240,59 +234,31 @@ def ppt(matrix: Gf2Matrix, subset: Subset) -> Gf2Matrix:
     if x == 0:
         return matrix
     n = matrix.n
+    rest = matrix.ground.full_mask & ~x
     pos = [i for i in range(n) if x >> i & 1]
-    rest = [i for i in range(n) if not x >> i & 1]
-    k = len(pos)
-
-    def extract(row: int, cols: list[int]) -> int:
-        packed = 0
-        for j, c in enumerate(cols):
-            if row >> c & 1:
-                packed |= 1 << j
-        return packed
-
-    p_rows = [extract(matrix.rows[i], pos) for i in pos]
-    p_inv = _invert(p_rows, k)
+    others = [i for i in range(n) if rest >> i & 1]
+    p_rows = [pack_bits(matrix.rows[i], x) for i in pos]
+    p_inv = _invert(p_rows, len(pos))
     if p_inv is None:
         raise PivotUndefinedError("principal submatrix is singular")
-    q_rows = [extract(matrix.rows[i], rest) for i in pos]
-    r_rows = [extract(matrix.rows[i], pos) for i in rest]
-    s_rows = [extract(matrix.rows[i], rest) for i in rest]
-    piq = _matmul(p_inv, q_rows)  # k rows over rest columns
+    q_rows = [pack_bits(matrix.rows[i], rest) for i in pos]
+    r_rows = [pack_bits(matrix.rows[i], x) for i in others]
+    s_rows = [pack_bits(matrix.rows[i], rest) for i in others]
+    piq = _matmul(p_inv, q_rows)  # pivot rows over rest columns
     rpi = _matmul(r_rows, p_inv)  # rest rows over pivot columns
     rpiq = _matmul(rpi, q_rows)  # rest rows over rest columns
-
-    def scatter(packed: int, cols: list[int]) -> int:
-        out = 0
-        for j, c in enumerate(cols):
-            if packed >> j & 1:
-                out |= 1 << c
-        return out
-
     new_rows = [0] * n
     for idx, i in enumerate(pos):
-        new_rows[i] = scatter(p_inv[idx], pos) | scatter(piq[idx], rest)
-    for idx, i in enumerate(rest):
-        new_rows[i] = scatter(rpi[idx], pos) | scatter(s_rows[idx] ^ rpiq[idx], rest)
+        new_rows[i] = scatter_bits(p_inv[idx], x) | scatter_bits(piq[idx], rest)
+    for idx, i in enumerate(others):
+        new_rows[i] = scatter_bits(rpi[idx], x) | scatter_bits(s_rows[idx] ^ rpiq[idx], rest)
     return Gf2Matrix(matrix.ground, tuple(new_rows))
 
 
 def schur_complement(matrix: Gf2Matrix, subset: Subset) -> Gf2Matrix:
     """The block of the pivot transform living on the complementary elements."""
     x = matrix.ground.coerce(subset)
-    pivoted = ppt(matrix, x)
-    keep = matrix.ground.full_mask & ~x
-    pos = [i for i in range(matrix.n) if keep >> i & 1]
-    ground = matrix.ground.restrict(keep)
-    rows = []
-    for i in pos:
-        row = pivoted.rows[i]
-        packed = 0
-        for j, p in enumerate(pos):
-            if row >> p & 1:
-                packed |= 1 << j
-        rows.append(packed)
-    return Gf2Matrix(ground, tuple(rows))
+    return ppt(matrix, x).principal(matrix.ground.full_mask & ~x)
 
 
 def support_set_system(matrix: Gf2Matrix, force: bool = False) -> SetSystem:

@@ -80,18 +80,7 @@ class Graph:
         return self.matrix.rows[i] & ~bit
 
     def induced(self, subset: Subset) -> "Graph":
-        x = self.ground.coerce(subset)
-        pos = [i for i in range(self.n) if x >> i & 1]
-        ground = self.ground.restrict(x)
-        rows = []
-        for i in pos:
-            row = self.matrix.rows[i]
-            packed = 0
-            for j, p in enumerate(pos):
-                if row >> p & 1:
-                    packed |= 1 << j
-            rows.append(packed)
-        return Graph(Gf2Matrix(ground, tuple(rows)))
+        return Graph(self.matrix.principal(subset))
 
     def delete(self, subset: Subset) -> "Graph":
         x = self.ground.coerce(subset)

@@ -18,7 +18,7 @@ from .errors import PreconditionError
 from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, gf2_solve_columns
 from .graphs import Graph, graph_to_system
 from .interlace import UniPoly, poly_direct
-from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit
+from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit, scatter_bits
 
 
 class BiPoly:
@@ -165,9 +165,6 @@ class Representation:
             if row >> j & 1:
                 vec |= 1 << i
         return vec
-
-    def column_vectors(self, mask: Mask) -> list[int]:
-        return [self.column_vector(j) for j in range(self.ncols) if mask >> j & 1]
 
     def rank(self) -> int:
         return gf2_rank(self.rows)
@@ -359,21 +356,11 @@ def fundamental_circuit_support(matroid: Matroid, basis_mask: Mask, element_bit:
     """
     rep = matroid.representation
     if rep is not None:
-        cols = []
-        positions = []
-        for j in range(rep.ncols):
-            if basis_mask >> j & 1:
-                cols.append(rep.column_vector(j))
-                positions.append(j)
-        target = rep.column_vector(element_bit.bit_length() - 1)
-        combo = gf2_solve_columns(cols, target)
+        cols = [rep.column_vector(j) for j in range(rep.ncols) if basis_mask >> j & 1]
+        combo = gf2_solve_columns(cols, rep.column_vector(element_bit.bit_length() - 1))
         if combo is None:
             raise PreconditionError("element is not spanned by the basis")
-        out = 0
-        for idx, j in enumerate(positions):
-            if combo >> idx & 1:
-                out |= 1 << j
-        return out
+        return scatter_bits(combo, basis_mask)
     fam = set(matroid.carrier.family)
     out = 0
     b = basis_mask

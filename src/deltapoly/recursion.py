@@ -3,13 +3,15 @@
 Branching removes one ground element per step.  The element is the
 smallest-index one satisfying the branch condition (divisibility for q1,
 divisibility of the transformed system for q2/q3, strong divisibility
-for Q1); leaves carry closed-form values.
+for Q1); leaves carry closed-form values.  All of them run on one
+driver that takes the branch condition and minors as a rule and expands
+each distinct minor once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from .delta import divisible_by, is_delta_matroid, is_vf_closed, strongly_divisible_by
 from .errors import PreconditionError
@@ -68,8 +70,55 @@ def _should_check(system: SetSystem, checked: Optional[bool]) -> bool:
     return checked
 
 
-def _pick(bits: list[int], chooser: Chooser) -> int:
-    return bits[0] if chooser == "min" else bits[-1]
+# A branch rule maps a system to None (a leaf) or to the branching element's
+# label, an optional factor and the (operation label, minor) branches.
+Branch = tuple[str, Optional[UniPoly], tuple[tuple[str, SetSystem], ...]]
+Rule = Callable[[SetSystem], Optional[Branch]]
+
+
+def _node(system: SetSystem, element: str, branches, factor: Optional[UniPoly] = None) -> RecursionTrace:
+    """Internal node whose value is the sum of its children, times the factor."""
+    value = UniPoly.zero()
+    for _, child in branches:
+        value = value + child.value
+    if factor is not None:
+        value = factor * value
+    return RecursionTrace(system, value, element, tuple(branches), factor)
+
+
+def _recurse(system: SetSystem, rule: Rule, leaf_shift: int) -> tuple[UniPoly, RecursionTrace]:
+    """Expand the rule down to (y + leaf_shift)^n leaves.
+
+    Every minor is expanded once: a repeated minor shares the subtree of
+    its first expansion, which the frozen trace makes safe.
+    """
+    memo: dict = {}
+
+    def go(m: SetSystem) -> RecursionTrace:
+        key = (m.ground.labels, m.family)
+        trace = memo.get(key)
+        if trace is None:
+            branch = rule(m)
+            if branch is None:
+                trace = RecursionTrace(m, UniPoly.binomial_power(leaf_shift, m.ground.n))
+            else:
+                element, factor, parts = branch
+                trace = _node(m, element, [(op, go(child)) for op, child in parts], factor)
+            memo[key] = trace
+        return trace
+
+    trace = go(system)
+    return trace.value, trace
+
+
+def _first_bit(m: SetSystem, chooser: Chooser, test: Callable[[Mask], bool]) -> Optional[Mask]:
+    """Smallest (or largest) single-element mask passing the test."""
+    order = range(m.ground.n) if chooser == "min" else reversed(range(m.ground.n))
+    return next((1 << i for i in order if test(1 << i)), None)
+
+
+def _label(m: SetSystem, bit: Mask) -> str:
+    return m.ground.labels[bit.bit_length() - 1]
 
 
 def q1_recursive(
@@ -77,81 +126,37 @@ def q1_recursive(
     checked: Optional[bool] = None,
     chooser: Chooser = "min",
     use_multiplicative: bool = False,
-    memoize: bool = False,
-) -> tuple[UniPoly, Optional[RecursionTrace]]:
+) -> tuple[UniPoly, RecursionTrace]:
     """Two-way deletion / pivot-deletion recursion for q1.
 
     The input must be a delta-matroid for the recursion to agree with the
     summation formula; this is verified up to the check limit unless
-    overridden.
+    overridden.  With use_multiplicative the branching element is the
+    first (or last) one and loops and coloops take the factor y + 1.
     """
     system.require_proper()
     if _should_check(system, checked) and not is_delta_matroid(system):
         raise PreconditionError("q1 recursion needs a delta-matroid input")
-    memo: Optional[dict] = {} if memoize else None
 
-    def go(m: SetSystem) -> tuple[UniPoly, Optional[RecursionTrace]]:
-        if memo is not None:
-            key = (m.ground.labels, m.family)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit, None
-        n = m.ground.n
-        if use_multiplicative:
-            result = _q1_multiplicative(m, chooser)
-        else:
-            bits = [1 << i for i in range(n) if divisible_by(m, 1 << i)]
-            if not bits:
-                value = UniPoly.binomial_power(1, n)
-                result = (value, None if memo is not None else RecursionTrace(m, value))
-            else:
-                bit = _pick(bits, chooser)
-                left = m.delete(bit)
-                right = m.pivot(bit).delete(bit)
-                lv, lt = go(left)
-                rv, rt = go(right)
-                value = lv + rv
-                trace = None
-                if memo is None:
-                    label = m.ground.labels_of(bit)[0]
-                    trace = RecursionTrace(
-                        m,
-                        value,
-                        element=label,
-                        branches=((f"\\{label}", lt), (f"*{label}\\{label}", rt)),
-                    )
-                result = (value, trace)
-        if memo is not None:
-            memo[key] = result[0]
-        return result
+    def plain(m: SetSystem) -> Optional[Branch]:
+        bit = _first_bit(m, chooser, lambda b: divisible_by(m, b))
+        if bit is None:
+            return None
+        label = _label(m, bit)
+        return label, None, ((f"\\{label}", m.delete(bit)), (f"*{label}\\{label}", m.pivot(bit).delete(bit)))
 
-    def _q1_multiplicative(m: SetSystem, chooser: Chooser):
+    def multiplicative(m: SetSystem) -> Optional[Branch]:
         n = m.ground.n
         if n == 0 or len(m.family) == 1:
-            value = UniPoly.binomial_power(1, n)
-            return value, None if memo is not None else RecursionTrace(m, value)
-        bits = [1 << i for i in range(n)]
-        bit = _pick(bits, chooser)
-        label = m.ground.labels_of(bit)[0]
-        case, factor, components = q1_multiplicative_step(m, bit)
-        if case == "additive":
-            lv, lt = go(components[0])
-            rv, rt = go(components[1])
-            value = lv + rv
-            if memo is not None:
-                return value, None
-            return value, RecursionTrace(
-                m, value, element=label,
-                branches=((f"\\{label}", lt), (f"*{label}\\{label}", rt)),
-            )
-        cv, ct = go(components[0])
-        value = factor * cv
-        if memo is not None:
-            return value, None
-        op = f"\\{label}" if case == "loop" else f"*{label}\\{label}"
-        return value, RecursionTrace(m, value, element=label, branches=((op, ct),), factor=factor)
+            return None
+        bit = 1 if chooser == "min" else 1 << (n - 1)
+        label = _label(m, bit)
+        case, factor, parts = q1_multiplicative_step(m, bit)
+        deletion, pivot_deletion = f"\\{label}", f"*{label}\\{label}"
+        ops = {"loop": (deletion,), "coloop": (pivot_deletion,), "additive": (deletion, pivot_deletion)}[case]
+        return label, factor, tuple(zip(ops, parts))
 
-    return go(system)
+    return _recurse(system, multiplicative if use_multiplicative else plain, 1)
 
 
 def q1_multiplicative_step(system: SetSystem, element) -> tuple[str, Optional[UniPoly], tuple[SetSystem, ...]]:
@@ -200,39 +205,19 @@ def q2_q3_recursive(
                 f"{which} recursion needs the {kind}-transformed system to be a delta-matroid"
             )
 
-    def branch_bit(m: SetSystem) -> Optional[Mask]:
-        bits = []
-        for i in range(m.ground.n):
-            bit = 1 << i
-            single = m.dual_pivot(bit) if which == "q2" else m.loopc(bit)
-            if divisible_by(single, bit):
-                bits.append(bit)
-        if not bits:
-            return None
-        return _pick(bits, chooser)
-
-    def go(m: SetSystem) -> tuple[UniPoly, RecursionTrace]:
-        bit = branch_bit(m)
+    def rule(m: SetSystem) -> Optional[Branch]:
+        flip = m.dual_pivot if which == "q2" else m.loopc
+        bit = _first_bit(m, chooser, lambda b: divisible_by(flip(b), b))
         if bit is None:
-            value = UniPoly.binomial_power(1, m.ground.n)
-            return value, RecursionTrace(m, value)
-        label = m.ground.labels_of(bit)[0]
+            return None
+        label = _label(m, bit)
+        pivoted = (f"*{label}\\{label}", m.pivot(bit).delete(bit))
+        dual = (f"~*{label}\\{label}", m.dual_pivot(bit).delete(bit))
         if which == "q2":
-            first = m.pivot(bit).delete(bit)
-            second = m.dual_pivot(bit).delete(bit)
-            labels = (f"*{label}\\{label}", f"~*{label}\\{label}")
-        else:
-            first = m.dual_pivot(bit).delete(bit)
-            second = m.delete(bit)
-            labels = (f"~*{label}\\{label}", f"\\{label}")
-        fv, ft = go(first)
-        sv, st = go(second)
-        value = fv + sv
-        return value, RecursionTrace(
-            m, value, element=label, branches=((labels[0], ft), (labels[1], st))
-        )
+            return label, None, (pivoted, dual)
+        return label, None, (dual, (f"\\{label}", m.delete(bit)))
 
-    return go(system)
+    return _recurse(system, rule, 1)
 
 
 def Q1_recursive(
@@ -251,32 +236,18 @@ def Q1_recursive(
     if _should_check(system, checked) and not is_vf_closed(system, cap=cap):
         raise PreconditionError("Q1 recursion needs a vf-closed delta-matroid input")
 
-    def strong_bit(m: SetSystem) -> Optional[Mask]:
-        bits = [1 << i for i in range(m.ground.n) if strongly_divisible_by(m, 1 << i)]
-        if not bits:
-            return None
-        return _pick(bits, chooser)
-
-    def go(m: SetSystem) -> tuple[UniPoly, RecursionTrace]:
-        bit = strong_bit(m)
+    def rule(m: SetSystem) -> Optional[Branch]:
+        bit = _first_bit(m, chooser, lambda b: strongly_divisible_by(m, b))
         if bit is None:
-            value = UniPoly.binomial_power(2, m.ground.n)
-            return value, RecursionTrace(m, value)
-        label = m.ground.labels_of(bit)[0]
-        parts = (
+            return None
+        label = _label(m, bit)
+        return label, None, (
             (f"\\{label}", m.delete(bit)),
             (f"*{label}\\{label}", m.pivot(bit).delete(bit)),
             (f"~*{label}\\{label}", m.dual_pivot(bit).delete(bit)),
         )
-        total = UniPoly.zero()
-        branches = []
-        for op, child in parts:
-            cv, ct = go(child)
-            total = total + cv
-            branches.append((op, ct))
-        return total, RecursionTrace(m, total, element=label, branches=tuple(branches))
 
-    return go(system)
+    return _recurse(system, rule, 2)
 
 
 def q1_normal_step(
@@ -311,17 +282,11 @@ def q1_normal_step(
     for part in (left, right):
         if not part.is_normal:
             raise PreconditionError("normal-step components must stay normal")
-    lv, lt = q1_recursive(left, checked=False)
-    rv, rt = q1_recursive(right, checked=False)
-    value = lv + rv
-    label = system.ground.labels_of(bit)[0]
-    xs = "{" + ",".join(system.ground.labels_of(x)) + "}"
-    return value, RecursionTrace(
-        system,
-        value,
-        element=label,
-        branches=((f"\\{label}", lt), (f"*{xs}\\{label}", rt)),
-    )
+    label = _label(system, bit)
+    xs = system.ground.format_subset(x)
+    branches = ((f"\\{label}", left), (f"*{xs}\\{label}", right))
+    trace = _node(system, label, [(op, q1_recursive(part, checked=False)[1]) for op, part in branches])
+    return trace.value, trace
 
 
 def q2_edge_step(
@@ -356,20 +321,16 @@ def q2_edge_step(
     for part in parts:
         if not part.is_normal:
             raise PreconditionError("edge-step components must stay normal")
-    ul = system.ground.labels_of(ub)[0]
-    vl = system.ground.labels_of(vb)[0]
+    ul = _label(system, ub)
+    vl = _label(system, vb)
     labels = (
         f"*{{{ul},{vl}}}\\{{{ul},{vl}}}",
         f"*{ul}~*{vl}\\{{{ul},{vl}}}",
         f"~*{ul}\\{ul}",
     )
-    total = UniPoly.zero()
-    branches = []
-    for op, part in zip(labels, parts):
-        pv, pt = q2_q3_recursive(part, "q2", checked=False)
-        total = total + pv
-        branches.append((op, pt))
-    return total, RecursionTrace(system, total, element=ul, branches=tuple(branches))
+    branches = [(op, q2_q3_recursive(part, "q2", checked=False)[1]) for op, part in zip(labels, parts)]
+    trace = _node(system, ul, branches)
+    return trace.value, trace
 
 
 @dataclass(frozen=True)

@@ -221,22 +221,35 @@ class SetSystem:
     def restrict(self, subset: Subset) -> "SetSystem":
         """Keep members contained in the subset; the ground set becomes the subset."""
         x = self.ground.coerce(subset)
-        new_ground = self.ground.restrict(x)
-        positions = [i for i in range(self.ground.n) if x >> i & 1]
-        kept = []
-        for m in self.family:
-            if m & ~x:
-                continue
-            packed = 0
-            for j, i in enumerate(positions):
-                if m >> i & 1:
-                    packed |= 1 << j
-            kept.append(packed)
-        return SetSystem(new_ground, tuple(kept))
+        kept = tuple(pack_bits(m, x) for m in self.family if not m & ~x)
+        return SetSystem(self.ground.restrict(x), kept)
 
     def delete(self, subset: Subset) -> "SetSystem":
         x = self.ground.coerce(subset)
         return self.restrict(self.ground.full_mask & ~x)
+
+
+def pack_bits(value: Mask, mask: Mask) -> Mask:
+    """The bits of value at the positions of mask, moved down to 0, 1, 2, ..."""
+    packed = 0
+    value &= mask
+    while value:
+        low = value & -value
+        packed |= 1 << (mask & (low - 1)).bit_count()
+        value ^= low
+    return packed
+
+
+def scatter_bits(packed: Mask, mask: Mask) -> Mask:
+    """Inverse of pack_bits: bit j of packed moves to the j-th position of mask."""
+    out = 0
+    while packed and mask:
+        low = mask & -mask
+        if packed & 1:
+            out |= low
+        packed >>= 1
+        mask ^= low
+    return out
 
 
 def apply_vertex_flip(system: SetSystem, kind: FlipKind, subset: Subset) -> SetSystem:

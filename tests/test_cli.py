@@ -1,10 +1,11 @@
 """Command-line surface: documents, words, subcommands, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from deltapoly import DocumentError, SetSystem
+from deltapoly import DocumentError, Q1_recursive, SetSystem, q1_recursive, q2_q3_recursive
 from deltapoly.cli import (
     apply_operation_word,
     canonical_json,
@@ -13,7 +14,7 @@ from deltapoly.cli import (
     parse_document,
     parse_operation_word,
 )
-from support import FIG_ORBIT, M0
+from support import FIG_ORBIT, M0, vf_closed_corpus
 
 M0_DOC = json.dumps(
     {"type": "setsystem", "ground": ["p", "q", "r"], "sets": [[], ["p"], ["p", "q"], ["q", "r"], ["r"]]}
@@ -115,7 +116,7 @@ def test_cli_orbit(m0_path, capsys):
     assert [parse_document(json.dumps(d)) for d in docs] == FIG_ORBIT
 
 
-def test_cli_tree(m0_path, capsys):
+def test_cli_tree(m0_path, tmp_path, capsys):
     assert main(["tree", "--which", "q1", "--input", m0_path, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "3y + 5" in out and "\\p" in out
@@ -123,6 +124,90 @@ def test_cli_tree(m0_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == [16, 10, 1]
     assert [b["op"] for b in doc["branches"]] == ["\\p", "*p\\p", "~*p\\p"]
+    assert tree_digests(tmp_path, capsys) == TREE_DIGESTS
+
+
+def tree_inputs() -> dict:
+    corpus = vf_closed_corpus(seed=4, count=30, n_max=6)
+    return {
+        "M0": M0,
+        "vf5": next(s for s in corpus if s.n == 5),
+        "vf6": next(s for s in corpus if s.n == 6),
+    }
+
+
+def tree_digests(tmp_path, capsys) -> dict:
+    """sha256 prefixes of every tree output and of the chooser and multiplicative renders."""
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    out = {}
+    for name, system in tree_inputs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_json(emit_document(system)))
+        for which in ("q1", "q2", "q3", "Q1"):
+            for fmt in ("json", "text"):
+                assert main(["tree", "--which", which, "--format", fmt, "--input", str(path)]) == 0
+                out[f"{name} {which} {fmt}"] = sha(capsys.readouterr().out)
+        renders = {
+            "q1 multiplicative": q1_recursive(system, use_multiplicative=True)[1],
+            "q1 max": q1_recursive(system, chooser="max")[1],
+            "q1 multiplicative max": q1_recursive(system, use_multiplicative=True, chooser="max")[1],
+            "q2 max": q2_q3_recursive(system, "q2", chooser="max")[1],
+            "q3 max": q2_q3_recursive(system, "q3", chooser="max")[1],
+            "Q1 max": Q1_recursive(system, checked=False, chooser="max")[1],
+        }
+        for label, trace in renders.items():
+            out[f"{name} {label} render"] = sha(trace.render())
+    return out
+
+
+# recorded before q1, q2/q3 and Q1 shared one recursion driver
+TREE_DIGESTS = {
+    "M0 q1 json": "2ffe39f0b70e959f",
+    "M0 q1 text": "7f0d08dad9bc1c4d",
+    "M0 q2 json": "be4794b276e08f9b",
+    "M0 q2 text": "f96350ab29c06355",
+    "M0 q3 json": "407c3b2e9940bbd4",
+    "M0 q3 text": "438083794be879d4",
+    "M0 Q1 json": "f8a41b413c643c16",
+    "M0 Q1 text": "c5a503f97bd65345",
+    "M0 q1 multiplicative render": "3270687a2fbebc8c",
+    "M0 q1 max render": "713e4ed399cebd8f",
+    "M0 q1 multiplicative max render": "713e4ed399cebd8f",
+    "M0 q2 max render": "6e43effcc61716cf",
+    "M0 q3 max render": "19d1d31ce017141b",
+    "M0 Q1 max render": "4790242a9c1dacb9",
+    "vf5 q1 json": "eb2e577fb830a52e",
+    "vf5 q1 text": "113294dded5a3cb6",
+    "vf5 q2 json": "5950b111fe95077d",
+    "vf5 q2 text": "c359fbd7764c93ae",
+    "vf5 q3 json": "6e35972de74ba105",
+    "vf5 q3 text": "e27bc49051539b46",
+    "vf5 Q1 json": "6818b9dfe61d6846",
+    "vf5 Q1 text": "c36657f7d5a6f828",
+    "vf5 q1 multiplicative render": "76ca15a0b3b12919",
+    "vf5 q1 max render": "0a541857668b3ce5",
+    "vf5 q1 multiplicative max render": "0479d1ade0605b83",
+    "vf5 q2 max render": "2af950a97c1d4aba",
+    "vf5 q3 max render": "60be2ffdeb9ac051",
+    "vf5 Q1 max render": "fdaa56b38ab56e53",
+    "vf6 q1 json": "1c29842010ad0641",
+    "vf6 q1 text": "92daca67751f034a",
+    "vf6 q2 json": "fe191c66ac316ec1",
+    "vf6 q2 text": "c416d67b7b499ae2",
+    "vf6 q3 json": "c4681121c6f2e3ae",
+    "vf6 q3 text": "725d9abfcd830a23",
+    "vf6 Q1 json": "e9b4e9ae63bdecb9",
+    "vf6 Q1 text": "0896ff6340327b50",
+    "vf6 q1 multiplicative render": "04842901666de6ef",
+    "vf6 q1 max render": "f9ab5fda3a6d3468",
+    "vf6 q1 multiplicative max render": "e5c4195d6d520c12",
+    "vf6 q2 max render": "29de3c81da82c3f8",
+    "vf6 q3 max render": "32c9443dc6261761",
+    "vf6 Q1 max render": "3d56d6c5a5ec26d3",
+}
 
 
 def test_cli_check(m0_path, capsys):
@@ -190,7 +275,7 @@ def test_cli_ppt(tmp_path, capsys):
     assert parse_document(capsys.readouterr().out) == M0
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert main(["validate", "--input", str(bad)]) == 2
@@ -223,6 +308,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert main(["ppt", "--on", "a", "--input", str(singular)]) == 1
     capsys.readouterr()
+    monkeypatch.setattr("deltapoly.interlace.MULTIVARIATE_GUARD", 2)
+    assert main(["verify", "--input", triangle_path]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--force", "--input", triangle_path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_stdin(m0_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from deltapoly import (
     restrict_delete,
     vf_orbit,
 )
+from deltapoly.setsystem import pack_bits, scatter_bits
 from support import FIG_ORBIT, M0, random_graph
 
 
@@ -221,6 +222,26 @@ def test_restrict_delete_examples():
     # deletion can produce an improper system: that is legal output
     gone = SetSystem.from_sets(["a", "b"], [["a", "b"]]).restrict("a")
     assert not gone.is_proper
+
+
+WORD62 = (1 << 62) - 1
+
+
+@given(st.integers(0, WORD62), st.integers(0, WORD62))
+@settings(max_examples=200)
+@example(WORD62, 0)
+@example(WORD62, WORD62)
+@example(0b1011_0110, WORD62)
+@example(0, 0b1110)
+def test_pack_scatter_roundtrip(value, mask):
+    assert scatter_bits(pack_bits(value, mask), mask) == value & mask
+    assert pack_bits(scatter_bits(value, mask), mask) == value & ((1 << mask.bit_count()) - 1)
+
+
+def test_pack_scatter_examples():
+    assert pack_bits(0b1010, 0b1110) == 0b101
+    assert scatter_bits(0b101, 0b1110) == 0b1010
+    assert pack_bits(0b1111, 0) == scatter_bits(0b1111, 0) == 0
 
 
 def test_labels_survive_operations():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, NotAGraphError
+from .gf2 import SUPPORT_GUARD
+from .graphs import system_to_graph
 from .setsystem import SetSystem, distance
 
 
@@ -108,17 +110,44 @@ def strongly_divisible_by(system: SetSystem, bit: int) -> bool:
 def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
     """Every image of the system under vertex-flip sequences is a delta-matroid.
 
+    The checks run in this order:
+
+    1. The system must be proper (ImproperSystemError otherwise).
+    2. The system itself must satisfy the exchange axiom.
+    3. Binary fast path, up to ``SUPPORT_GUARD`` elements: pivot by any
+       member to reach normal form; if ``system_to_graph`` reconstructs a
+       graph, the system is a twist of a binary delta-matroid.  Binary
+       delta-matroids are vf-safe (Brijder & Hoogeboom, "The group
+       structure of pivot and loop complementation on graphs and set
+       systems", European J. Combin. 2011), so the answer is True after
+       one support enumeration.
+    4. Otherwise every flip image is enumerated (see
+       ``_flip_images_are_delta_matroids``); at most 3^n images, and
+       more than ``cap`` distinct ones raise CapExceededError.
+    """
+    system.require_proper()
+    if not is_delta_matroid(system):
+        return False
+    if system.ground.n <= SUPPORT_GUARD:
+        try:
+            system_to_graph(system.pivot(system.family[0]))
+            return True
+        except NotAGraphError:
+            pass
+    return _flip_images_are_delta_matroids(system, cap)
+
+
+def _flip_images_are_delta_matroids(system: SetSystem, cap: int) -> bool:
+    """Exchange check on every vertex-flip image other than the system itself.
+
     Enumeration is cut down by pivot invariance of the exchange axiom: any
     flip word factors per element into a coset representative in
     {identity, loopc, dual pivot} followed by a pivot, so it suffices to
     check the images under disjoint loopc/dual-pivot element choices
     (at most 3^n systems after dedup).
     """
-    system.require_proper()
     seen = {system.family}
     frontier = [system]
-    if not is_delta_matroid(system):
-        return False
     for i in range(system.ground.n):
         bit = 1 << i
         new_frontier = list(frontier)

@@ -126,6 +126,18 @@ def vf_closed_corpus(seed: int, count: int, n_max: int = 6, with_pivots: bool = 
     return out
 
 
+def twisted_graph_systems(seed: int, count: int, n_min: int, n_max: int) -> list[SetSystem]:
+    """Graph support systems pivoted off normal form by a seeded non-member."""
+    rng = random.Random(seed)
+    out = []
+    for graph in random_graphs(seed=seed, count=count, n_max=n_max, n_min=n_min):
+        system = graph_to_system(graph)
+        members = set(system.family)
+        outside = [x for x in range(1 << system.n) if x not in members]
+        out.append(system.pivot(rng.choice(outside)))
+    return out
+
+
 M0 = SetSystem.from_sets(["p", "q", "r"], [[], ["p"], ["p", "q"], ["q", "r"], ["r"]])
 
 FIG_ORBIT = [

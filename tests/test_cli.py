@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from deltapoly import DocumentError, Q1_recursive, SetSystem, q1_recursive, q2_q3_recursive
+from deltapoly import DocumentError, Q1_recursive, SetSystem, poly_direct, q1_recursive, q2_q3_recursive
 from deltapoly.cli import (
     apply_operation_word,
     canonical_json,
@@ -14,7 +14,7 @@ from deltapoly.cli import (
     parse_document,
     parse_operation_word,
 )
-from support import FIG_ORBIT, M0, vf_closed_corpus
+from support import FIG_ORBIT, M0, twisted_graph_systems, vf_closed_corpus
 
 M0_DOC = json.dumps(
     {"type": "setsystem", "ground": ["p", "q", "r"], "sets": [[], ["p"], ["p", "q"], ["q", "r"], ["r"]]}
@@ -215,6 +215,23 @@ def test_cli_check(m0_path, capsys):
     assert json.loads(capsys.readouterr().out) is True
     assert main(["check", "divisible", "--element", "p", "--input", m0_path]) == 0
     assert json.loads(capsys.readouterr().out) == {"divisible": True, "strongly_divisible": True}
+
+
+def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys):
+    system = twisted_graph_systems(seed=8, count=1, n_min=8, n_max=8)[0]
+    path = tmp_path / "twisted8.json"
+    path.write_text(canonical_json(emit_document(system)))
+    assert main(["verify", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("ok  ") for line in lines)
+    assert "ok  Q1 recursion vs direct" in lines
+    assert main(["tree", "--which", "Q1", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == poly_direct(system, "Q1").coeff_list()
+    system = twisted_graph_systems(seed=10, count=1, n_min=10, n_max=10)[0]
+    path = tmp_path / "twisted10.json"
+    path.write_text(canonical_json(emit_document(system)))
+    assert main(["check", "vfclosed", "--cap", "1", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 def test_cli_from_graph_and_verify(triangle_path, capsys):

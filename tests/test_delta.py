@@ -1,12 +1,15 @@
 """Delta-matroid predicates, divisibility, vf-closure, distance triples."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from deltapoly import (
+    CapExceededError,
     GroundSet,
     ImproperSystemError,
+    NotAGraphError,
     SetSystem,
     distance,
     distance_triple,
@@ -14,10 +17,13 @@ from deltapoly import (
     is_delta_matroid,
     is_even,
     is_vf_closed,
+    system_to_graph,
     uniform_matroid,
     vf_orbit,
 )
-from support import M0, random_graphs, random_set_system
+from deltapoly.delta import _flip_images_are_delta_matroids
+from deltapoly.gf2 import SUPPORT_GUARD
+from support import M0, random_graphs, random_set_system, twisted_graph_systems
 from deltapoly import graph_to_system
 
 
@@ -95,14 +101,57 @@ def test_vf_closed_fixtures():
         assert is_vf_closed(graph_to_system(graph))
 
 
+def vf_closed_by_orbit(system):
+    """Definition-level oracle: every member of the single-flip orbit is a delta-matroid."""
+    orbit = vf_orbit(system, "all-single-element-flips", cap=100_000)
+    return all(is_delta_matroid(s) for s in orbit)
+
+
 def test_vf_closed_matches_bruteforce_orbit():
     rng = random.Random(21)
-    for _ in range(40):
-        system = random_set_system(rng, rng.randint(1, 3))
-        expected = all(
-            is_delta_matroid(s) for s in vf_orbit(system, "all-single-element-flips", cap=100_000)
+    for _ in range(60):
+        system = random_set_system(rng, rng.randint(1, 4))
+        assert is_vf_closed(system) == vf_closed_by_orbit(system)
+    # binary inputs take the fast path; the enumeration must agree on them
+    for system in twisted_graph_systems(seed=27, count=6, n_min=4, n_max=5):
+        assert is_vf_closed(system) and vf_closed_by_orbit(system)
+        assert _flip_images_are_delta_matroids(system, cap=100_000)
+    # non-binary fixtures: no graph round trip, so the enumeration decides
+    labels = ["1", "2", "3"]
+    cex = SetSystem.from_sets(labels, [list(c) for k in range(1, 4) for c in combinations(labels, k)])
+    u24 = uniform_matroid(2, 4).carrier
+    for system, expected in [
+        (u24, True),
+        (powerset_system(labels, include_empty=False), False),
+        (cex, False),
+    ]:
+        with pytest.raises(NotAGraphError):
+            system_to_graph(system.pivot(system.family[0]))
+        assert is_vf_closed(system) == vf_closed_by_orbit(system) == expected
+    # U(2,6): its full orbit takes seconds, so one failing image stands witness
+    u26 = uniform_matroid(2, 6).carrier
+    assert not is_vf_closed(u26)
+    assert not is_delta_matroid(u26.loopc(u26.ground.coerce(["1", "2", "3", "4"])))
+
+
+def test_vf_closed_fast_path_matches_enumeration(delta_corpus, vf_corpus):
+    for system in delta_corpus + [s for s in vf_corpus if s.n <= 5]:
+        by_enumeration = is_delta_matroid(system) and _flip_images_are_delta_matroids(
+            system, cap=100_000
         )
-        assert is_vf_closed(system) == expected
+        assert is_vf_closed(system) == by_enumeration
+
+
+def test_vf_closed_cap():
+    twisted = twisted_graph_systems(seed=10, count=1, n_min=10, n_max=10)[0]
+    assert not twisted.is_normal
+    assert is_vf_closed(twisted, cap=1)  # no image was enumerated
+    with pytest.raises(CapExceededError):
+        is_vf_closed(uniform_matroid(2, 4).carrier, cap=1)
+    # above the principal-minor guard the fast path is skipped, not refused
+    labels = tuple(f"x{i}" for i in range(SUPPORT_GUARD + 1))
+    with pytest.raises(CapExceededError):
+        is_vf_closed(SetSystem(GroundSet(labels), (0,)), cap=50)
 
 
 def test_delta_matroids_closed_under_pivot_and_deletion(delta_corpus):

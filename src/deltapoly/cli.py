@@ -38,7 +38,6 @@ from .matroids import (
     fundamental_graph,
     tutte,
     tutte_dc,
-    tutte_diagonal_check,
 )
 from .recursion import Q1_recursive, q1_recursive, q2_q3_recursive
 from .setsystem import SetSystem, apply_vertex_flip, full_flip_explicit, vf_orbit
@@ -386,7 +385,7 @@ def cmd_tutte(args) -> int:
         matroid = value
     else:
         raise DocumentError("tutte needs a matroid or representation document")
-    poly = tutte(matroid)
+    poly = tutte(matroid, force=args.force)
     if args.format == "json":
         print(json.dumps(poly.to_records(), separators=(",", ":")))
     else:
@@ -435,11 +434,13 @@ def cmd_verify(args) -> int:
             )
         add("graph roundtrip", system_to_graph(system).matrix == value.matrix)
         value = system
+    if isinstance(value, Representation):
+        value = binary_matroid_from_matrix(value)
     if isinstance(value, Matroid):
-        t1, t2 = tutte(value), tutte_dc(value)
-        add("tutte rank-sum vs deletion-contraction", t1 == t2)
-        via_t, via_q1, equal = tutte_diagonal_check(value)
-        add("tutte diagonal vs shifted q1", equal)
+        t = tutte(value, force=args.force)
+        add("tutte rank-sum vs deletion-contraction", t == tutte_dc(value))
+        q1 = poly_direct(value.carrier, "q1", force=args.force)
+        add("tutte diagonal vs shifted q1", t.diagonal() == q1.shift_variable(-1))
         rep = value.representation
         if rep is not None:
             add(
@@ -447,17 +448,6 @@ def cmd_verify(args) -> int:
                 bicycle_dimension(rep) == dual_pivot_min_distance(value.carrier),
             )
         value = value.carrier
-    if isinstance(value, Representation):
-        matroid = binary_matroid_from_matrix(value)
-        t1, t2 = tutte(matroid), tutte_dc(matroid)
-        add("tutte rank-sum vs deletion-contraction", t1 == t2)
-        _, _, equal = tutte_diagonal_check(matroid)
-        add("tutte diagonal vs shifted q1", equal)
-        add(
-            "bicycle dimension vs dual-pivot distance",
-            bicycle_dimension(value) == dual_pivot_min_distance(matroid.carrier),
-        )
-        value = matroid.carrier
     if isinstance(value, SetSystem):
         system = value
         if system.n <= args.limit:

@@ -13,7 +13,7 @@ call; they cost O(n^2) big-int operations, next to the 2^n-cell work.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Literal
 
 CubeFlip = Literal["loopc", "dualpivot"]
@@ -110,6 +110,52 @@ def distance_counts(ball: int, masks: list[int], region: int) -> list[int]:
         counts.append(now - seen)
         seen = now
     return counts
+
+
+def rank_layers(bases: Iterable[int], n: int) -> list[int]:
+    """E_0 .. E_r: E_k marks the subsets X with max |B & X| over the bases equal to k.
+
+    Down-closing the bases gives the independent sets.  Up-closing the
+    independent k-sets gives U_k, the subsets of rank at least k, and
+    E_k = U_k & ~U_{k+1}.  The bases must be a nonempty equicardinal family.
+    """
+    masks = element_masks(n)
+    independent = indicator(bases, n)
+    for i, m in enumerate(masks):
+        independent |= (independent >> (1 << i)) & m
+    ups = []
+    for layer in layer_masks(n):
+        u = independent & layer
+        if not u:
+            break
+        for i, m in enumerate(masks):
+            u |= (u & m) << (1 << i)
+        ups.append(u)
+    return [u & ~above for u, above in zip(ups, ups[1:] + [0])]
+
+
+def rank_size_counts(bases: Iterable[int], n: int) -> list[list[int]]:
+    """counts[k][j]: j-element subsets of rank k (see rank_layers)."""
+    sizes = layer_masks(n)
+    return [[(e & s).bit_count() for s in sizes] for e in rank_layers(bases, n)]
+
+
+def is_basis_family(bases: Iterable[int], n: int) -> bool:
+    """Whether a nonempty equicardinal family is the basis family of a matroid.
+
+    It is iff its rank is locally submodular (Oxley, Matroid Theory,
+    ch. 1): no X and a, b outside X have X, X+a and X+b of rank k but
+    X+a+b of rank k+1.  The top layer has no rank above it to reach.
+    """
+    masks = element_masks(n)
+    layers = rank_layers(bases, n)
+    for e in layers[:-1]:
+        # flat[a]: cells X without a where X and X+a both have rank k
+        flat = [e & m & (e >> (1 << a)) for a, m in enumerate(masks)]
+        for a, b in combinations(range(n), 2):
+            if flat[a] & flat[b] & ~(e >> ((1 << a) | (1 << b))):
+                return False
+    return True
 
 
 def _gray_walk(n: int) -> Iterator[tuple[int, bool]]:

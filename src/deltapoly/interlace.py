@@ -293,7 +293,7 @@ def permute_Q_under_flip(table: MultiQPoly, kind, subset) -> MultiQPoly:
     return MultiQPoly(table.ground, out)
 
 
-def direct_guard(n: int, which: Which, force: bool) -> None:
+def direct_guard(n: int, which: str, force: bool) -> None:
     """Refuse a direct summation too large to finish: 3^n cells for Q1, else 2^n."""
     limit = MULTIVARIATE_GUARD if which == "Q1" else DIRECT_GUARD
     if n > limit and not force:

@@ -2,8 +2,9 @@
 
 A matroid is an equicardinal delta-matroid; the carrier set system keeps
 the bases.  The Tutte polynomial is computed both as the rank-nullity
-subset sum and by deletion/contraction, and its diagonal matches the
-shifted q1 of the carrier.
+subset sum, read off the rank layers of the hypercube kernel, and by
+deletion/contraction, and its diagonal matches the shifted q1 of the
+carrier.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
+from . import cube
 from .delta import is_delta_matroid
 from .errors import PreconditionError
 from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, gf2_solve_columns
 from .graphs import Graph, graph_to_system
-from .interlace import UniPoly, poly_direct
+from .interlace import DIRECT_GUARD, UniPoly, direct_guard, poly_direct
 from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit, scatter_bits
 
 
@@ -175,7 +177,13 @@ class Representation:
 
 @dataclass(frozen=True)
 class Matroid:
-    """Matroid described by its bases, stored as an equicardinal set system."""
+    """Matroid described by its bases, stored as an equicardinal set system.
+
+    The bases are checked by local submodularity of their rank on the
+    hypercube up to DIRECT_GUARD elements; above it, where the cube would
+    not fit, by the symmetric exchange axiom, which on equicardinal
+    families is basis exchange (Bouchet 1987).
+    """
 
     carrier: SetSystem
     representation: Optional[Representation] = None
@@ -185,7 +193,12 @@ class Matroid:
             raise PreconditionError("a matroid needs at least one basis")
         if not self.carrier.is_equicardinal:
             raise PreconditionError("bases must be equicardinal")
-        if not is_delta_matroid(self.carrier):
+        n = self.carrier.n
+        if n <= DIRECT_GUARD:
+            ok = cube.is_basis_family(self.carrier.family, n)
+        else:
+            ok = is_delta_matroid(self.carrier)
+        if not ok:
             raise PreconditionError("bases must satisfy the symmetric exchange axiom")
 
     @classmethod
@@ -220,23 +233,33 @@ def uniform_matroid(rank: int, size: int, labels: Optional[Sequence[str]] = None
 
 
 def rank_nullity(matroid: Matroid, subset: Subset) -> tuple[int, int]:
-    """Rank and nullity of a subset: nullity is the least part left uncovered by a basis."""
+    """Rank and nullity of one subset: nullity is the least part left uncovered by a basis.
+
+    This is the definition, O(|B|) per query; the tests use it as the
+    oracle for the rank layers that `tutte` reads.
+    """
     x = matroid.ground.coerce(subset)
     nul = min((x & ~b).bit_count() for b in matroid.carrier.family)
     return x.bit_count() - nul, nul
 
 
-def tutte(matroid: Matroid) -> BiPoly:
-    """Rank-nullity subset expansion of the Tutte polynomial."""
-    r_total = matroid.rank
-    counts: dict[tuple[int, int], int] = {}
-    for x in range(1 << matroid.n):
-        r, nul = rank_nullity(matroid, x)
-        key = (r_total - r, nul)
-        counts[key] = counts.get(key, 0) + 1
+def tutte(matroid: Matroid, force: bool = False) -> BiPoly:
+    """Rank-nullity subset expansion of the Tutte polynomial.
+
+    T(x, y) sums (x - 1)^(r - r(X)) (y - 1)^(|X| - r(X)) over all subsets
+    X, with r the rank function of the matroid (Oxley, Matroid Theory,
+    ch. 1).  The hypercube kernel gives the exact rank layers E_k, the
+    subsets of rank k, as whole-cube indicators, so the coefficient of
+    (x - 1)^(r - k) (y - 1)^(j - k) is the number of j-element subsets in
+    E_k.  Refuses n > DIRECT_GUARD (2^n cells) unless forced.
+    """
+    direct_guard(matroid.n, "tutte", force)
+    r = matroid.rank
     out = BiPoly.zero()
-    for (a, b), c in counts.items():
-        out = out + BiPoly.shifted_powers(a, b).scale(c)
+    for k, by_size in enumerate(cube.rank_size_counts(matroid.carrier.family, matroid.n)):
+        for j, c in enumerate(by_size):
+            if c:
+                out = out + BiPoly.shifted_powers(r - k, j - k).scale(c)
     return out
 
 
@@ -274,10 +297,10 @@ def binary_matroid_from_matrix(rep: Representation) -> Matroid:
     """Column matroid over GF(2): bases are the maximal independent column sets."""
     r = rep.rank()
     n = rep.ncols
+    columns = [rep.column_vector(j) for j in range(n)]
     bases = []
     for combo in combinations(range(n), r):
-        cols = [rep.column_vector(j) for j in combo]
-        if gf2_rank(cols) == r:
+        if gf2_rank([columns[j] for j in combo]) == r:
             bases.append(sum(1 << j for j in combo))
     return Matroid(SetSystem(rep.columns, tuple(bases)), representation=rep)
 

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 from deltapoly import (
+    BiPoly,
     Gf2Matrix,
     Graph,
     GroundSet,
@@ -72,6 +74,24 @@ def random_representation(rng: random.Random, max_cols: int, min_cols: int = 1) 
     nrows = rng.randint(1, max(1, min(5, ncols + 1)))
     rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
     return Representation.from_rows([str(j + 1) for j in range(ncols)], rows)
+
+
+def simple_representation(rng: random.Random, ncols: int, nrows: int) -> Representation:
+    """Distinct nonzero columns: the representation of a simple binary matroid."""
+    vectors = rng.sample(range(1, 1 << nrows), ncols)
+    rows = [[v >> i & 1 for v in vectors] for i in range(nrows)]
+    return Representation.from_rows([str(j + 1) for j in range(ncols)], rows)
+
+
+def uniform_tutte(rank: int, size: int) -> BiPoly:
+    """Closed form of the Tutte polynomial of U(rank, size), written without any rank computation."""
+    if rank == 0:
+        return BiPoly({(0, size): 1})
+    if rank == size:
+        return BiPoly({(size, 0): 1})
+    coeffs = {(i, 0): comb(size - i - 1, rank - i) for i in range(1, rank + 1)}
+    coeffs.update({(0, j): comb(size - j - 1, rank - 1) for j in range(1, size - rank + 1)})
+    return BiPoly(coeffs)
 
 
 def random_binary_matroids(seed: int, count: int, max_cols: int) -> list[Matroid]:

@@ -2,10 +2,19 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from deltapoly import DocumentError, Q1_recursive, SetSystem, poly_direct, q1_recursive, q2_q3_recursive
+from deltapoly import (
+    DocumentError,
+    Q1_recursive,
+    SetSystem,
+    binary_matroid_from_matrix,
+    poly_direct,
+    q1_recursive,
+    q2_q3_recursive,
+)
 from deltapoly.cli import (
     apply_operation_word,
     canonical_json,
@@ -14,7 +23,14 @@ from deltapoly.cli import (
     parse_document,
     parse_operation_word,
 )
-from support import FIG_ORBIT, M0, twisted_graph_systems, vf_closed_corpus
+from support import (
+    FIG_ORBIT,
+    M0,
+    simple_representation,
+    twisted_graph_systems,
+    uniform_tutte,
+    vf_closed_corpus,
+)
 
 M0_DOC = json.dumps(
     {"type": "setsystem", "ground": ["p", "q", "r"], "sets": [[], ["p"], ["p", "q"], ["q", "r"], ["r"]]}
@@ -292,6 +308,18 @@ def test_cli_ppt(tmp_path, capsys):
     assert parse_document(capsys.readouterr().out) == M0
 
 
+def test_cli_tutte_and_verify_on_16_columns(tmp_path, capsys):
+    rep = simple_representation(random.Random(16), 16, 8)
+    path = tmp_path / "rep16.json"
+    path.write_text(canonical_json(emit_document(rep)))
+    assert main(["tutte", "--input", str(path)]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert sum(r["c"] for r in records) == len(binary_matroid_from_matrix(rep).bases())  # T(1, 1)
+    assert main(["verify", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("ok  ") for line in lines)
+
+
 def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -325,6 +353,13 @@ def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     )
     assert main(["ppt", "--on", "a", "--input", str(singular)]) == 1
     capsys.readouterr()
+    u121 = tmp_path / "u121.json"
+    labels = [f"e{i}" for i in range(21)]
+    u121.write_text(json.dumps({"type": "matroid", "ground": labels, "bases": [[label] for label in labels]}))
+    assert main(["tutte", "--input", str(u121)]) == 2
+    capsys.readouterr()
+    assert main(["tutte", "--force", "--input", str(u121)]) == 0
+    assert json.loads(capsys.readouterr().out) == uniform_tutte(1, 21).to_records()
     monkeypatch.setattr("deltapoly.interlace.MULTIVARIATE_GUARD", 2)
     assert main(["verify", "--input", triangle_path]) == 2
     capsys.readouterr()

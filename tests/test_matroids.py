@@ -1,18 +1,27 @@
 """Matroids, the Tutte polynomial, bicycle space, fundamental graphs."""
 
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltapoly import (
     BiPoly,
+    GroundSet,
     Matroid,
     PreconditionError,
     Representation,
+    SetSystem,
+    SizeGuardError,
     bicycle_dimension,
     binary_matroid_from_matrix,
     dual_pivot_min_distance,
     fundamental_graph,
     graph_poly,
     graph_to_system,
+    is_delta_matroid,
     is_vf_closed,
     rank_nullity,
     tutte,
@@ -21,7 +30,14 @@ from deltapoly import (
     tutte_evaluations,
     uniform_matroid,
 )
-from support import graphic_matroid, random_binary_matroids
+from deltapoly.cube import is_basis_family, members, rank_layers
+from support import (
+    LABELS,
+    graphic_matroid,
+    random_binary_matroids,
+    random_representation,
+    uniform_tutte,
+)
 
 K3 = graphic_matroid(3, [(0, 1), (1, 2), (2, 0)])
 C4 = graphic_matroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -52,15 +68,90 @@ def test_bipoly_arithmetic():
     assert (x + y).text() == "x + y"
 
 
-def test_matroid_validation():
+def test_matroid_validation(monkeypatch):
     with pytest.raises(PreconditionError):
         Matroid.from_bases(["a", "b"], [["a"], ["a", "b"]])  # not equicardinal
     with pytest.raises(PreconditionError):
         Matroid.from_bases(["a"], [])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="symmetric exchange axiom"):
         Matroid.from_bases(
             ["a", "b", "c", "d"], [["a", "b"], ["c", "d"]]
         )  # exchange axiom fails
+
+    # above the 2^n-cell guard the basis check must not build the cube
+    def no_cube(*args):
+        raise AssertionError("the hypercube basis check ran on 30 elements")
+
+    monkeypatch.setattr("deltapoly.cube.is_basis_family", no_cube)
+    labels = [f"e{i}" for i in range(30)]
+    matroid = Matroid.from_bases(labels, [["e0", "e1"], ["e0", "e2"]])
+    assert matroid.rank == 2 and len(matroid.bases()) == 2
+    with pytest.raises(PreconditionError, match="symmetric exchange axiom"):
+        Matroid.from_bases(labels, [["e0", "e1"], ["e2", "e3"]])
+
+
+def _minus_one_basis(rows, n, drop):
+    """Bases of the binary matroid of the rows, less the basis at index drop (if any other is left)."""
+    rep = Representation(GroundSet(tuple(LABELS[:n])), tuple(rows))
+    bases = list(binary_matroid_from_matrix(rep).bases())
+    if len(bases) > 1:
+        del bases[drop % len(bases)]
+    return bases
+
+
+@st.composite
+def equicardinal_families(draw):
+    """(n, family): a uniform draw of r-subsets, or a binary matroid with one basis removed."""
+    n = draw(st.integers(0, 7))
+    if draw(st.booleans()) or n == 0:
+        r = draw(st.integers(0, n))
+        candidates = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+        return n, sorted(draw(st.sets(st.sampled_from(candidates), min_size=1)))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    return n, _minus_one_basis(rows, n, draw(st.integers(0, 1 << 10)))
+
+
+def _agree(n, family):
+    system = SetSystem(GroundSet(tuple(LABELS[:n])), tuple(family))
+    verdict = is_delta_matroid(system)
+    assert is_basis_family(family, n) == verdict, system
+    return verdict
+
+
+@given(equicardinal_families())
+@settings(max_examples=300, deadline=None)
+@example((4, [0b0011, 0b1100]))  # {ab, cd}
+@example((3, [0b011, 0b101, 0b110]))  # U(2, 3)
+@example((0, [0]))
+def test_basis_check_matches_exchange_axiom(case):
+    _agree(*case)
+
+
+def test_basis_check_sees_both_outcomes():
+    rng = random.Random(98)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        r = rng.randint(0, n)
+        candidates = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+        verdicts[_agree(n, rng.sample(candidates, rng.randint(1, len(candidates))))] += 1
+        rows = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+        verdicts[_agree(n, _minus_one_basis(rows, n, rng.randrange(1 << 10)))] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
+
+
+def test_rank_layers_match_rank_nullity():
+    rng = random.Random(99)
+    corpus = matroid_corpus(seed=99) + [uniform_matroid(5, 10), uniform_matroid(3, 9)]
+    corpus += [binary_matroid_from_matrix(random_representation(rng, 10, min_cols=9)) for _ in range(4)]
+    for matroid in corpus:
+        n = matroid.n
+        layers = rank_layers(matroid.bases(), n)
+        assert len(layers) == matroid.rank + 1
+        rank_of = {x: k for k, layer in enumerate(layers) for x in members(layer)}
+        assert sum(len(members(layer)) for layer in layers) == len(rank_of) == 1 << n
+        for x in range(1 << n):
+            assert rank_nullity(matroid, x) == (rank_of[x], x.bit_count() - rank_of[x])
 
 
 def test_rank_nullity_examples():
@@ -81,8 +172,24 @@ def test_tutte_golden_values():
 
 
 def test_tutte_dc_matches_rank_sum():
-    for matroid in matroid_corpus():
-        assert tutte(matroid) == tutte_dc(matroid)
+    rng = random.Random(100)
+    corpus = matroid_corpus() + [uniform_matroid(n // 2, n) for n in range(8, 15)]
+    corpus += [binary_matroid_from_matrix(random_representation(rng, 12, min_cols=10)) for _ in range(6)]
+    for matroid in corpus:
+        assert tutte(matroid) == tutte_dc(matroid), matroid.carrier
+
+
+def test_tutte_uniform_closed_form():
+    for size in range(17):
+        for rank in range(size + 1):
+            assert tutte(uniform_matroid(rank, size)) == uniform_tutte(rank, size), (rank, size)
+
+
+def test_tutte_size_guard():
+    u121 = uniform_matroid(1, 21)
+    with pytest.raises(SizeGuardError):
+        tutte(u121)
+    assert tutte(u121, force=True) == uniform_tutte(1, 21)
 
 
 def test_tutte_dc_base_case():

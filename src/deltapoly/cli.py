@@ -15,6 +15,7 @@ import sys
 from typing import Any
 
 from .delta import DivisibilityStatus, divisibility, is_delta_matroid, is_even, is_vf_closed
+from .delta import _vf_closed_delta_matroid
 from .errors import (
     CapExceededError,
     DeltaPolyError,
@@ -27,20 +28,19 @@ from .errors import (
     SizeGuardError,
 )
 from .gf2 import Gf2Matrix, ppt, support_set_system
-from .graphs import Graph, graph_poly, graph_to_system, system_to_graph
+from .graphs import Graph, _candidate_graph, graph_poly
 from .interlace import UniPoly, multivariate_Q, poly_direct, specialize
 from .matroids import (
     Matroid,
     Representation,
     bicycle_dimension,
     binary_matroid_from_matrix,
-    dual_pivot_min_distance,
     fundamental_graph,
     tutte,
     tutte_dc,
 )
 from .recursion import Q1_recursive, q1_recursive, q2_q3_recursive
-from .setsystem import SetSystem, apply_vertex_flip, full_flip_explicit, vf_orbit
+from .setsystem import SetSystem, apply_vertex_flip, distance, full_flip_explicit, vf_orbit
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -237,13 +237,13 @@ def _print_poly(poly: UniPoly, fmt: str) -> None:
         print(poly.text())
 
 
-def _as_setsystem(value) -> SetSystem:
+def _as_setsystem(value, force: bool) -> SetSystem:
     if isinstance(value, SetSystem):
         return value
     if isinstance(value, Graph):
-        return graph_to_system(value)
+        value = value.matrix
     if isinstance(value, Gf2Matrix):
-        return support_set_system(value)
+        return support_set_system(value, force=force)
     if isinstance(value, Matroid):
         return value.carrier
     if isinstance(value, Representation):
@@ -258,7 +258,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
     result = apply_operation_word(system, args.word)
     sys.stdout.write(canonical_json(emit_document(result)))
     return EXIT_OK
@@ -267,7 +267,7 @@ def cmd_apply(args) -> int:
 def cmd_poly(args) -> int:
     value = parse_document(_read_input(args.input))
     if args.which == "Q":
-        system = _as_setsystem(value)
+        system = _as_setsystem(value, args.force)
         table = multivariate_Q(system, force=args.force)
         if args.format == "json":
             print(json.dumps(table.to_records(), separators=(",", ":")))
@@ -278,20 +278,20 @@ def cmd_poly(args) -> int:
     if isinstance(value, Graph) and not args.via_system:
         poly = graph_poly(value, args.which, force=args.force)
     else:
-        poly = poly_direct(_as_setsystem(value), args.which, force=args.force)
+        poly = poly_direct(_as_setsystem(value, args.force), args.which, force=args.force)
     _print_poly(poly, args.format)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
     poly = poly_direct(system, args.which, force=args.force)
     print(poly.evaluate(args.at))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
     if args.predicate == "dm":
         result: Any = is_delta_matroid(system)
     elif args.predicate == "even":
@@ -310,7 +310,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
     gen = "fullV-alternation" if args.generators == "fullv" else "all-single-element-flips"
     systems = vf_orbit(system, gen, cap=args.cap, force=args.force)
     docs = [emit_document(s) for s in systems]
@@ -319,7 +319,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
     if args.which == "q1":
         _, trace = q1_recursive(system)
     elif args.which in ("q2", "q3"):
@@ -353,7 +353,7 @@ def cmd_from_graph(args) -> int:
         raise DocumentError("from-graph needs a graph document")
     out = {
         "matrix": emit_document(value.matrix),
-        "setsystem": emit_document(graph_to_system(value)),
+        "setsystem": emit_document(support_set_system(value.matrix, force=args.force)),
     }
     sys.stdout.write(canonical_json(out))
     return EXIT_OK
@@ -426,13 +426,14 @@ def cmd_verify(args) -> int:
     if isinstance(value, Gf2Matrix):
         value = support_set_system(value, force=args.force)
     if isinstance(value, Graph):
-        system = graph_to_system(value)
+        system = support_set_system(value.matrix, force=args.force)
         for which in ("q1", "q2", "q3", "Q1"):
             add(
                 f"graph-vs-setsystem {which}",
                 graph_poly(value, which, force=args.force) == poly_direct(system, which, force=args.force),
             )
-        add("graph roundtrip", system_to_graph(system).matrix == value.matrix)
+        # the candidate equals the input graph iff system_to_graph(system) would return it
+        add("graph roundtrip", _candidate_graph(system).matrix == value.matrix)
         value = system
     if isinstance(value, Representation):
         value = binary_matroid_from_matrix(value)
@@ -443,10 +444,8 @@ def cmd_verify(args) -> int:
         add("tutte diagonal vs shifted q1", t.diagonal() == q1.shift_variable(-1))
         rep = value.representation
         if rep is not None:
-            add(
-                "bicycle dimension vs dual-pivot distance",
-                bicycle_dimension(rep) == dual_pivot_min_distance(value.carrier),
-            )
+            dual = full_flip_explicit(value.carrier, "dualpivot", force=args.force)
+            add("bicycle dimension vs dual-pivot distance", bicycle_dimension(rep) == distance(dual, 0))
         value = value.carrier
     if isinstance(value, SetSystem):
         system = value
@@ -459,11 +458,11 @@ def cmd_verify(args) -> int:
             if is_delta_matroid(system):
                 add("q1 recursion vs direct", q1_recursive(system, checked=False)[0] == direct["q1"])
                 for which, kind in (("q2", "dualpivot"), ("q3", "loopc")):
-                    if is_delta_matroid(full_flip_explicit(system, kind)):
+                    if is_delta_matroid(full_flip_explicit(system, kind, force=args.force)):
                         recursive = q2_q3_recursive(system, which, checked=False)[0]
                         add(f"{which} recursion vs direct", recursive == direct[which])
                 equal = Q1_recursive(system, checked=False)[0] == direct["Q1"]
-                if is_vf_closed(system):
+                if _vf_closed_delta_matroid(system):
                     add("Q1 recursion vs direct", equal)
                 else:
                     note = "happens to match" if equal else "differs from"
@@ -484,11 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="deltapoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_force: bool = True):
+    def common(p):
         p.add_argument("--input", required=True, help="input document path, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if with_force:
-            p.add_argument("--force", action="store_true", help="override size guards")
+        p.add_argument("--force", action="store_true", help="override the cell limit")
 
     p = sub.add_parser("validate", help="parse and re-emit a document canonically")
     common(p)

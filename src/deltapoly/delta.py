@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import errors
 from .errors import CapExceededError, NotAGraphError
-from .gf2 import SUPPORT_GUARD
 from .graphs import system_to_graph
 from .setsystem import SetSystem, distance
 
@@ -114,7 +114,7 @@ def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
 
     1. The system must be proper (ImproperSystemError otherwise).
     2. The system itself must satisfy the exchange axiom.
-    3. Binary fast path, up to ``SUPPORT_GUARD`` elements: pivot by any
+    3. Binary fast path, while 2^n is at most ``MAX_CELLS``: pivot by any
        member to reach normal form; if ``system_to_graph`` reconstructs a
        graph, the system is a twist of a binary delta-matroid.  Binary
        delta-matroids are vf-safe (Brijder & Hoogeboom, "The group
@@ -126,9 +126,12 @@ def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
        more than ``cap`` distinct ones raise CapExceededError.
     """
     system.require_proper()
-    if not is_delta_matroid(system):
-        return False
-    if system.ground.n <= SUPPORT_GUARD:
+    return is_delta_matroid(system) and _vf_closed_delta_matroid(system, cap)
+
+
+def _vf_closed_delta_matroid(system: SetSystem, cap: int = 100_000) -> bool:
+    """Steps 3 and 4 of ``is_vf_closed``, for a proper system already known to be a delta-matroid."""
+    if 1 << system.ground.n <= errors.MAX_CELLS:
         try:
             system_to_graph(system.pivot(system.family[0]))
             return True

@@ -30,7 +30,17 @@ class PreconditionError(DeltaPolyError):
 
 
 class SizeGuardError(DeltaPolyError):
-    """The instance exceeds a size cap; pass force=True to override."""
+    """The instance exceeds the cell limit; pass force=True to override."""
+
+
+MAX_CELLS = 1 << 20  # largest table an unforced call builds: 2^n subsets or 3^n pairs Z in X
+
+
+def size_guard(cells: int, what: str, force: bool) -> None:
+    """Refuse a table of more than MAX_CELLS cells unless forced."""
+    if cells > MAX_CELLS and not force:
+        msg = f"{what} needs {cells:,} cells, over the limit of {MAX_CELLS:,}"
+        raise SizeGuardError(f"{msg}; pass force=True (CLI: --force) to override")
 
 
 class DocumentError(DeltaPolyError):

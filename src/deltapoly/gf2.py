@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import PivotUndefinedError, SizeGuardError
+from .errors import PivotUndefinedError, size_guard
 from .setsystem import GroundSet, SetSystem, Subset, pack_bits, scatter_bits
-
-SUPPORT_GUARD = 20  # 2^n principal minors are enumerated
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
@@ -268,7 +266,6 @@ def support_set_system(matrix: Gf2Matrix, force: bool = False) -> SetSystem:
     matrices yield delta-matroids.
     """
     n = matrix.n
-    if n > SUPPORT_GUARD and not force:
-        raise SizeGuardError(f"n={n} exceeds the principal-minor guard {SUPPORT_GUARD}")
+    size_guard(1 << n, f"principal-minor enumeration at n={n}", force)
     members = [x for x in range(1 << n) if det_nullity(matrix, x)[0]]
     return SetSystem(matrix.ground, tuple(members))

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotAGraphError, PivotUndefinedError
+from .errors import NotAGraphError, PivotUndefinedError, size_guard
 from .gf2 import Gf2Matrix, det_nullity, ppt, support_set_system
-from .interlace import UniPoly, Which, direct_guard
+from .interlace import UniPoly, Which
 from .setsystem import GroundSet, Mask, SetSystem, Subset, iter_submasks
 
 
@@ -108,6 +108,14 @@ def system_to_graph(system: SetSystem) -> Graph:
     membership differs from the conjunction of its endpoints' loop flags.
     The round trip is verified and failure raises NotAGraphError.
     """
+    graph = _candidate_graph(system)
+    if support_set_system(graph.matrix) != system:
+        raise NotAGraphError("set system is not the support system of a graph")
+    return graph
+
+
+def _candidate_graph(system: SetSystem) -> Graph:
+    """The only graph whose support system can match: read off members of size 1 and 2."""
     ground = system.ground
     n = ground.n
     fam = set(system.family)
@@ -122,10 +130,7 @@ def system_to_graph(system: SetSystem) -> Graph:
             if pair_in ^ both_loops:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    graph = Graph(Gf2Matrix(ground, tuple(rows)))
-    if support_set_system(graph.matrix) != system:
-        raise NotAGraphError("set system is not the support system of a graph")
-    return graph
+    return Graph(Gf2Matrix(ground, tuple(rows)))
 
 
 def graph_flip(graph: Graph, kind, subset: Subset) -> Graph:
@@ -201,31 +206,18 @@ def graph_poly(graph: Graph, which: Which, force: bool = False) -> UniPoly:
     refuses unless forced.
     """
     n = graph.n
-    direct_guard(n, which, force)
     full = graph.ground.full_mask
-    coeffs: dict[int, int] = {}
-    if which == "q1":
-        for x in range(1 << n):
-            d = det_nullity(graph.matrix, x)[1]
-            coeffs[d] = coeffs.get(d, 0) + 1
-    elif which == "q2":
-        for x in range(1 << n):
-            d = det_nullity(graph.matrix.with_toggled_diagonal(x), full)[1]
-            coeffs[d] = coeffs.get(d, 0) + 1
-    elif which == "q3":
-        toggled = graph.matrix.with_toggled_diagonal(full)
-        for x in range(1 << n):
-            d = det_nullity(toggled, x)[1]
-            coeffs[d] = coeffs.get(d, 0) + 1
-    elif which == "Q1":
-        for z in range(1 << n):
-            toggled = graph.matrix.with_toggled_diagonal(z)
-            for t in iter_submasks(full & ~z):
-                d = det_nullity(toggled, z | t)[1]
-                coeffs[d] = coeffs.get(d, 0) + 1
-    else:
+    subsets = range(1 << n)
+    pairs = {  # (diagonal toggle, subsets ranked in the toggled matrix)
+        "q1": [(0, subsets)],
+        "q2": ((x, (full,)) for x in subsets),
+        "q3": [(full, subsets)],
+        "Q1": ((z, (z | t for t in iter_submasks(full & ~z))) for z in subsets),
+    }
+    if which not in pairs:
         raise ValueError(f"unknown polynomial name {which!r}")
-    return UniPoly(coeffs)
+    size_guard(3**n if which == "Q1" else 1 << n, f"{which} at n={n}", force)
+    return _nullity_histogram(graph.matrix, pairs[which])
 
 
 def marked_bracket(graph: Graph, marked_complement: Subset) -> UniPoly:
@@ -237,10 +229,18 @@ def marked_bracket(graph: Graph, marked_complement: Subset) -> UniPoly:
     support system, which tests use as the oracle.
     """
     c = graph.ground.coerce(marked_complement)
-    n = graph.n
-    coeffs: dict[int, int] = {}
-    for x in range(1 << n):
-        toggled = graph.matrix.with_toggled_diagonal(x)
-        d = det_nullity(toggled, x | c)[1]
-        coeffs[d] = coeffs.get(d, 0) + 1
-    return UniPoly(coeffs)
+    return _nullity_histogram(graph.matrix, ((x, (x | c,)) for x in range(1 << graph.n)))
+
+
+def _nullity_histogram(matrix: Gf2Matrix, pairs) -> UniPoly:
+    """Count principal-minor nullities over (diagonal toggle, subsets) pairs.
+
+    Each toggled matrix is built once and ranked on every subset paired
+    with it; the coefficient of y^d is the number of nullity-d minors.
+    """
+    counts = [0] * (matrix.n + 1)
+    for toggle, subsets in pairs:
+        toggled = matrix.with_toggled_diagonal(toggle)
+        for x in subsets:
+            counts[det_nullity(toggled, x)[1]] += 1
+    return UniPoly.from_coeffs(counts)

@@ -13,13 +13,10 @@ from math import comb
 from typing import Literal
 
 from . import cube
-from .errors import SizeGuardError
+from .errors import size_guard
 from .setsystem import Mask, SetSystem, iter_submasks
 
 Which = Literal["Q1", "q1", "q2", "q3"]
-
-MULTIVARIATE_GUARD = 14  # 3^n monomials are materialized; also bounds Q1's 3^n cells
-DIRECT_GUARD = 20  # 2^n-cell summations of q1, q2, q3
 
 
 class UniPoly:
@@ -242,8 +239,7 @@ def multivariate_Q(system: SetSystem, force: bool = False) -> MultiQPoly:
     """
     system.require_proper()
     n = system.ground.n
-    if n > MULTIVARIATE_GUARD and not force:
-        raise SizeGuardError(f"n={n} exceeds the multivariate guard {MULTIVARIATE_GUARD}")
+    size_guard(3**n, f"the multivariate table at n={n}", force)
     full = system.ground.full_mask
     entries: dict[tuple[Mask, Mask], int] = {}
     cur = system
@@ -293,13 +289,6 @@ def permute_Q_under_flip(table: MultiQPoly, kind, subset) -> MultiQPoly:
     return MultiQPoly(table.ground, out)
 
 
-def direct_guard(n: int, which: str, force: bool) -> None:
-    """Refuse a direct summation too large to finish: 3^n cells for Q1, else 2^n."""
-    limit = MULTIVARIATE_GUARD if which == "Q1" else DIRECT_GUARD
-    if n > limit and not force:
-        raise SizeGuardError(f"n={n} exceeds the direct-summation guard {limit} for {which}")
-
-
 _COUNTS = {"q1": cube.q1_counts, "q2": cube.q2_counts, "q3": cube.q3_counts, "Q1": cube.Q1_counts}
 
 
@@ -318,5 +307,5 @@ def poly_direct(system: SetSystem, which: Which, force: bool = False) -> UniPoly
     if which not in _COUNTS:
         raise ValueError(f"unknown polynomial name {which!r}")
     n = system.ground.n
-    direct_guard(n, which, force)
+    size_guard(3**n if which == "Q1" else 1 << n, f"{which} at n={n}", force)
     return UniPoly.from_coeffs(_COUNTS[which](system.family, n))

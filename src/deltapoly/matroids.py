@@ -14,12 +14,12 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from . import cube
+from . import cube, errors
 from .delta import is_delta_matroid
-from .errors import PreconditionError
+from .errors import PreconditionError, size_guard
 from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, gf2_solve_columns
 from .graphs import Graph, graph_to_system
-from .interlace import DIRECT_GUARD, UniPoly, direct_guard, poly_direct
+from .interlace import UniPoly, poly_direct
 from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit, scatter_bits
 
 
@@ -180,8 +180,8 @@ class Matroid:
     """Matroid described by its bases, stored as an equicardinal set system.
 
     The bases are checked by local submodularity of their rank on the
-    hypercube up to DIRECT_GUARD elements; above it, where the cube would
-    not fit, by the symmetric exchange axiom, which on equicardinal
+    hypercube while 2^n is at most MAX_CELLS; above it, where the cube
+    would not fit, by the symmetric exchange axiom, which on equicardinal
     families is basis exchange (Bouchet 1987).
     """
 
@@ -194,7 +194,7 @@ class Matroid:
         if not self.carrier.is_equicardinal:
             raise PreconditionError("bases must be equicardinal")
         n = self.carrier.n
-        if n <= DIRECT_GUARD:
+        if 1 << n <= errors.MAX_CELLS:
             ok = cube.is_basis_family(self.carrier.family, n)
         else:
             ok = is_delta_matroid(self.carrier)
@@ -251,9 +251,9 @@ def tutte(matroid: Matroid, force: bool = False) -> BiPoly:
     ch. 1).  The hypercube kernel gives the exact rank layers E_k, the
     subsets of rank k, as whole-cube indicators, so the coefficient of
     (x - 1)^(r - k) (y - 1)^(j - k) is the number of j-element subsets in
-    E_k.  Refuses n > DIRECT_GUARD (2^n cells) unless forced.
+    E_k.  Refuses 2^n cells over MAX_CELLS unless forced.
     """
-    direct_guard(matroid.n, "tutte", force)
+    size_guard(1 << matroid.n, f"tutte at n={matroid.n}", force)
     r = matroid.rank
     out = BiPoly.zero()
     for k, by_size in enumerate(cube.rank_size_counts(matroid.carrier.family, matroid.n)):

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from . import cube
-from .errors import CapExceededError, GroundSetError, ImproperSystemError, SizeGuardError
+from .errors import CapExceededError, GroundSetError, ImproperSystemError, size_guard
 
 MAX_GROUND = 62  # subsets must fit a single machine-word-sized bitmask
-PARITY_TRANSFORM_GUARD = 20  # whole-ground loopc/dual-pivot formulas walk 2^n cells
 
 FlipKind = Literal["pivot", "loopc", "dualpivot"]
 
@@ -308,8 +307,7 @@ def full_flip_explicit(system: SetSystem, kind: FlipKind, force: bool = False) -
     if kind not in ("loopc", "dualpivot"):
         raise ValueError(f"unknown flip kind {kind!r}")
     n = system.ground.n
-    if n > PARITY_TRANSFORM_GUARD and not force:
-        raise SizeGuardError(f"n={n} exceeds the parity-transform guard {PARITY_TRANSFORM_GUARD}")
+    size_guard(1 << n, f"whole-ground {kind} at n={n}", force)
     return SetSystem(system.ground, cube.full_flip(system.family, n, kind))
 
 

@@ -11,6 +11,7 @@ from deltapoly import (
     Q1_recursive,
     SetSystem,
     binary_matroid_from_matrix,
+    is_delta_matroid,
     poly_direct,
     q1_recursive,
     q2_q3_recursive,
@@ -233,11 +234,20 @@ def test_cli_check(m0_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"divisible": True, "strongly_divisible": True}
 
 
-def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys):
+def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys, monkeypatch):
     system = twisted_graph_systems(seed=8, count=1, n_min=8, n_max=8)[0]
     path = tmp_path / "twisted8.json"
     path.write_text(canonical_json(emit_document(system)))
+    input_checks = []
+
+    def counting(s):
+        input_checks.append(s == system)
+        return is_delta_matroid(s)
+
+    for module in ("deltapoly.cli", "deltapoly.delta"):
+        monkeypatch.setattr(f"{module}.is_delta_matroid", counting)
     assert main(["verify", "--input", str(path)]) == 0
+    assert sum(input_checks) == 1  # the input's exchange axiom is checked once
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("ok  ") for line in lines)
     assert "ok  Q1 recursion vs direct" in lines
@@ -360,11 +370,40 @@ def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["tutte", "--force", "--input", str(u121)]) == 0
     assert json.loads(capsys.readouterr().out) == uniform_tutte(1, 21).to_records()
-    monkeypatch.setattr("deltapoly.interlace.MULTIVARIATE_GUARD", 2)
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 4)  # every 2^3 and 3^3 table of the triangle
     assert main(["verify", "--input", triangle_path]) == 2
     capsys.readouterr()
     assert main(["verify", "--force", "--input", triangle_path]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_cli_force_reaches_the_support_enumeration(triangle_path, capsys, monkeypatch):
+    commands = (
+        ["eval", "--which", "q1", "--at", "1"],
+        ["poly", "--which", "q1", "--via-system"],
+        ["from-graph"],
+    )
+    expected = []
+    for command in commands:
+        assert main([*command, "--input", triangle_path]) == 0
+        expected.append(capsys.readouterr().out)
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 4)
+    for command, out in zip(commands, expected):
+        assert main([*command, "--input", triangle_path]) == 2
+        assert "over the limit of 4" in capsys.readouterr().err
+        assert main([*command, "--force", "--input", triangle_path]) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_cli_verify_force_above_the_limit(tmp_path, capsys):
+    labels = [f"e{i}" for i in range(21)]
+    path = tmp_path / "ones21.json"
+    path.write_text(json.dumps({"type": "representation", "columns": labels, "rows": [[1] * 21]}))
+    assert main(["verify", "--input", str(path)]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--force", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("ok  ") for line in lines)
 
 
 def test_cli_stdin(m0_path, capsys, monkeypatch):

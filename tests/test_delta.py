@@ -22,7 +22,7 @@ from deltapoly import (
     vf_orbit,
 )
 from deltapoly.delta import _flip_images_are_delta_matroids
-from deltapoly.gf2 import SUPPORT_GUARD
+from deltapoly.errors import MAX_CELLS
 from support import M0, random_graphs, random_set_system, twisted_graph_systems
 from deltapoly import graph_to_system
 
@@ -148,8 +148,8 @@ def test_vf_closed_cap():
     assert is_vf_closed(twisted, cap=1)  # no image was enumerated
     with pytest.raises(CapExceededError):
         is_vf_closed(uniform_matroid(2, 4).carrier, cap=1)
-    # above the principal-minor guard the fast path is skipped, not refused
-    labels = tuple(f"x{i}" for i in range(SUPPORT_GUARD + 1))
+    # above the cell limit the fast path is skipped, not refused
+    labels = tuple(f"x{i}" for i in range(MAX_CELLS.bit_length()))
     with pytest.raises(CapExceededError):
         is_vf_closed(SetSystem(GroundSet(labels), (0,)), cap=50)
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from deltapoly import (
+    Graph,
     GroundSet,
     ImproperSystemError,
     SetSystem,
@@ -15,13 +16,17 @@ from deltapoly import (
     dual_pivot_min_distance,
     evaluate,
     full_flip_explicit,
+    graph_poly,
     is_even,
     multivariate_Q,
     permute_Q_under_flip,
     poly_direct,
     specialize,
+    support_set_system,
+    tutte,
+    uniform_matroid,
 )
-from support import M0
+from support import M0, TRIANGLE_TWO_LOOPS
 
 
 def test_unipoly_arithmetic():
@@ -91,14 +96,42 @@ def test_improper_rejected():
         assert full_flip_explicit(bad, kind) == bad
 
 
-def test_size_guard():
-    big = SetSystem.from_sets([f"x{i}" for i in range(15)], [[]])
+def test_size_guard(monkeypatch):
+    # at the real limit: 3^12 <= 2^20 < 3^13, so the pair sums stop at n = 12
+    big = SetSystem.from_sets([f"x{i}" for i in range(13)], [[]])
+    empty_graph = Graph.from_edges(big.ground.labels)
+    for refused in (
+        lambda: multivariate_Q(big),
+        lambda: poly_direct(big, "Q1"),
+        lambda: graph_poly(empty_graph, "Q1"),
+    ):
+        with pytest.raises(SizeGuardError, match="1,594,323 cells"):
+            refused()
+    assert poly_direct(big, "q1") == UniPoly.binomial_power(1, 13)
+    # the 2^n sums stop at n = 20
+    assert poly_direct(SetSystem.from_sets([f"x{i}" for i in range(20)], [[]]), "q1").degree == 20
     with pytest.raises(SizeGuardError):
-        multivariate_Q(big)
-    # Q1 sums over 3^n pairs and shares the multivariate limit; q1 sums 2^n
-    with pytest.raises(SizeGuardError):
-        poly_direct(big, "Q1")
-    assert poly_direct(big, "q1") == UniPoly.binomial_power(1, 15)
+        poly_direct(SetSystem.from_sets([f"x{i}" for i in range(21)], [[]]), "q1")
+
+    # one monkeypatch moves every guard; force=True returns the unguarded value
+    graph = TRIANGLE_TWO_LOOPS
+    matroid = uniform_matroid(2, 4)
+    calls = {
+        "loopc": lambda force: full_flip_explicit(M0, "loopc", force=force),
+        "dualpivot": lambda force: full_flip_explicit(M0, "dualpivot", force=force),
+        "support": lambda force: support_set_system(graph.matrix, force=force),
+        "multivariate": lambda force: multivariate_Q(M0, force=force).entries,
+        "tutte": lambda force: tutte(matroid, force=force),
+    }
+    for which in ("Q1", "q1", "q2", "q3"):
+        calls[f"direct {which}"] = lambda force, which=which: poly_direct(M0, which, force=force)
+        calls[f"graph {which}"] = lambda force, which=which: graph_poly(graph, which, force=force)
+    expected = {name: call(False) for name, call in calls.items()}
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 4)
+    for name, call in calls.items():
+        with pytest.raises(SizeGuardError, match="over the limit of 4;"):
+            call(False)
+        assert call(True) == expected[name], name
 
 
 def test_permutation_under_flips_matches_recomputation():

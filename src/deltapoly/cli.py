@@ -40,7 +40,7 @@ from .matroids import (
     tutte_dc,
 )
 from .recursion import Q1_recursive, q1_recursive, q2_q3_recursive
-from .setsystem import SetSystem, apply_vertex_flip, distance, full_flip_explicit, vf_orbit
+from .setsystem import GroundSet, SetSystem, apply_vertex_flip, distance, full_flip_explicit, vf_orbit
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -87,17 +87,24 @@ def parse_document(text: str):
 
 
 def _parse_setsystem(doc) -> SetSystem:
-    ground = doc["ground"]
-    sets = doc["sets"]
-    seen = set()
+    labels, sets = doc["ground"], doc["sets"]
+    ground = GroundSet(tuple(labels))
+    bit = {lab: 1 << i for i, lab in enumerate(ground.labels)}
+    masks: set[int] = set()
     for s in sets:
-        key = frozenset(s)
-        if len(s) != len(key):
+        try:
+            # distinct bits add without a carry, so a repeated label loses a bit
+            m = sum(map(bit.__getitem__, s))
+        except KeyError:
+            for lab in s:
+                ground.index(lab)  # raises GroundSetError for the unknown label
+            raise
+        if m.bit_count() != len(s):
             raise DocumentError(f"set {s} repeats an element")
-        if key in seen:
+        if m in masks:
             raise DocumentError(f"duplicate set {s}")
-        seen.add(key)
-    return SetSystem.from_sets(ground, sets)
+        masks.add(m)
+    return SetSystem(ground, tuple(sorted(masks)))
 
 
 def _parse_graph(doc) -> Graph:
@@ -124,7 +131,7 @@ def emit_document(value) -> dict:
         return {
             "type": "setsystem",
             "ground": list(value.ground.labels),
-            "sets": [list(s) for s in value.member_sets()],
+            "sets": value.member_sets(),
         }
     if isinstance(value, Graph):
         return {
@@ -139,7 +146,7 @@ def emit_document(value) -> dict:
         return {
             "type": "matroid",
             "ground": list(value.ground.labels),
-            "bases": [list(value.ground.labels_of(b)) for b in value.bases()],
+            "bases": value.carrier.member_sets(),
         }
     if isinstance(value, Representation):
         return {"type": "representation", "columns": list(value.columns.labels), "rows": value.to_lists()}

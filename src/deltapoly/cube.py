@@ -5,7 +5,11 @@ Every vertex flip on element i is then a constant number of whole-cube
 shift/mask operations with M_i, the indicator of the cells whose bit i is
 clear, and a distance ball grows by one radius with n of them: the GF(2)
 zeta/Moebius shift-and-mask step (Yates 1937; Bjoerklund, Husfeldt, Kaski
-and Koivisto, "Fourier meets Moebius", STOC 2007).
+and Koivisto, "Fourier meets Moebius", STOC 2007).  The support of a
+square GF(2) matrix, the sets with a nonsingular principal submatrix,
+is built the same way: its low half is the support of a submatrix and
+its high half that of a Schur complement, one pair per distinct
+subproblem (``principal_support``).
 
 This module is the only one that knows the format.  Masks are built per
 call; they cost O(n^2) big-int operations, next to the 2^n-cell work.
@@ -14,7 +18,7 @@ call; they cost O(n^2) big-int operations, next to the 2^n-cell work.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 CubeFlip = Literal["loopc", "dualpivot"]
 
@@ -33,6 +37,48 @@ def members(ind: int) -> tuple[int, ...]:
     """The subset masks of an indicator, ascending."""
     bits = bin(ind)[:1:-1].encode().translate(_BITS)
     return tuple(compress(range(len(bits)), bits))
+
+
+def principal_support(rows: Sequence[int]) -> int:
+    """Indicator of the X whose principal submatrix A[X] is nonsingular over GF(2).
+
+    rows[j] holds row j of the square matrix A, bit k being A[j, k].  Take
+    the top element i, the rest R, c = A[i, R] and b = A[R, i], and let
+    S = A[R] + b c^T (row j of A[R], XOR c when A[j, i] = 1).  The sets
+    without i are ind(A[R]).  For Y inside R, det A[i+Y] = det S[Y] when
+    A_ii = 1 (Schur complement); when A_ii = 0, linearity of det in row i
+    adds det A[Y], so the sets with i are ind(S) XOR ind(A[R]).  Neither
+    step needs A symmetric.  Equal submatrices recur, so each distinct
+    one is solved once per call (Griffin and Tsatsomeros, "Principal
+    minors, Part I", Linear Algebra Appl. 2006).
+
+    The matrix is packed into one integer, row j at bits j*n .. j*n+n-1,
+    so a step is a few whole-matrix operations and a memo key is one int.
+    """
+    n = len(rows)
+    packed = sum(r << (j * n) for j, r in enumerate(rows))
+    starts = [0]  # starts[k]: the first bit of each of rows 0 .. k-1
+    for j in range(n):
+        starts.append(starts[-1] | (1 << (j * n)))
+    memos: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+    return _principal_support(packed, n, n, starts, memos)
+
+
+def _principal_support(a: int, k: int, n: int, starts: list[int], memos: list[dict[int, int]]) -> int:
+    """Support indicator of a, the packed leading k x k block; memos[k] is keyed by block."""
+    ind = memos[k].get(a)
+    if ind is None:
+        i = k - 1
+        low = (1 << i) - 1
+        rest = a & (starts[i] * low)
+        # b c^T: column i moved to the row starts, times row i
+        schur = rest ^ (((a >> i) & starts[i]) * ((a >> (i * n)) & low))
+        below = _principal_support(rest, i, n, starts, memos)
+        above = _principal_support(schur, i, n, starts, memos)
+        if not (a >> (i * n + i)) & 1:
+            above ^= below
+        ind = memos[k][a] = below | (above << (1 << i))
+    return ind
 
 
 def element_masks(n: int) -> list[int]:

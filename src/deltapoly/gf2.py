@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import cube
 from .errors import PivotUndefinedError, size_guard
 from .setsystem import GroundSet, SetSystem, Subset, pack_bits, scatter_bits
 
@@ -264,8 +265,16 @@ def support_set_system(matrix: Gf2Matrix, force: bool = False) -> SetSystem:
 
     The empty set always qualifies, so the result is normal.  Symmetric
     matrices yield delta-matroids.
+
+    The family comes from the all-principal-minors recursion of Griffin
+    and Tsatsomeros ("Principal minors, Part I", Linear Algebra Appl.
+    2006) over GF(2), on the top element i with rest R: the sets without
+    i are the support of A[R], and the sets with i are the support of the
+    Schur complement S = A[R] + A[R, i] A[i, R], XORed with the support of
+    A[R] when A_ii = 0.  The rule holds for any square matrix, symmetric
+    or not; ``cube.principal_support`` runs it once per distinct Schur
+    complement.  ``det_nullity`` stays the per-minor oracle.
     """
     n = matrix.n
     size_guard(1 << n, f"principal-minor enumeration at n={n}", force)
-    members = [x for x in range(1 << n) if det_nullity(matrix, x)[0]]
-    return SetSystem(matrix.ground, tuple(members))
+    return SetSystem(matrix.ground, cube.members(cube.principal_support(matrix.rows)))

@@ -152,8 +152,26 @@ class SetSystem:
     def members(self) -> tuple[Mask, ...]:
         return self.family
 
-    def member_sets(self) -> list[tuple[str, ...]]:
-        return [self.ground.labels_of(m) for m in self.family]
+    def member_sets(self) -> list[list[str]]:
+        """The members as label lists, in family order.
+
+        Table k maps a byte to the labels at positions 8k .. 8k+7 that it
+        marks, and a member joins one entry per byte of its mask.  The
+        tables are built per call and the members are distinct, so no two
+        members share a list.
+        """
+        labels = self.ground.labels
+        fam = self.family
+        sets: list[list[str]] = []
+        for shift in range(0, max(len(labels), 1), 8):
+            table: list[list[str]] = [[]]
+            for lab in labels[shift : shift + 8]:
+                table += [t + [lab] for t in table]
+            if shift:
+                sets = [s + table[m >> shift & 255] for s, m in zip(sets, fam)]
+            else:
+                sets = [table[m & 255] for m in fam]
+        return sets
 
     @property
     def is_proper(self) -> bool:

@@ -33,6 +33,12 @@ def random_set_system(rng: random.Random, n: int, max_members: int | None = None
     return SetSystem(GroundSet(tuple(LABELS[:n])), tuple(fam))
 
 
+def wide_set_system(rng: random.Random, n: int, count: int = 300) -> SetSystem:
+    """Empty set, full set, every singleton and up to count random members over e0 .. e{n-1}."""
+    fam = {0, (1 << n) - 1, *(1 << i for i in range(n)), *(rng.randrange(1 << n) for _ in range(count))}
+    return SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(fam))
+
+
 def random_delta_matroids(seed: int, count: int, n_max: int = 6, n_min: int = 1) -> list[SetSystem]:
     """Rejection sampling: random families kept only if the exchange axiom holds."""
     from deltapoly import is_delta_matroid

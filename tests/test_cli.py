@@ -31,6 +31,7 @@ from support import (
     twisted_graph_systems,
     uniform_tutte,
     vf_closed_corpus,
+    wide_set_system,
 )
 
 M0_DOC = json.dumps(
@@ -79,6 +80,34 @@ def test_parse_document_errors():
         parse_document(
             json.dumps({"type": "matroid", "ground": ["a", "b"], "bases": [["a"], ["a", "b"]]})
         )
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 16, 17, 20))
+def test_cli_validate_prints_canonical_form(n, tmp_path, capsys):
+    rng = random.Random(n)
+    system = wide_set_system(rng, n)
+    labels = list(system.ground.labels)
+    sets = [[labels[i] for i in range(n) if m >> i & 1] for m in system.family]
+    expected = canonical_json({"type": "setsystem", "ground": labels, "sets": sets})
+    shuffled = [rng.sample(s, len(s)) for s in sets]
+    rng.shuffle(shuffled)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"type": "setsystem", "ground": labels, "sets": shuffled}))
+    assert main(["validate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_setsystem_parse_errors(tmp_path, capsys):
+    cases = (
+        ([["a"], ["a", "b", "a"]], "error: set ['a', 'b', 'a'] repeats an element"),
+        ([["a", "b"], [], ["b", "a"]], "error: duplicate set ['b', 'a']"),
+        ([["a"], ["b", "z"]], "error: element 'z' not in ground set ('a', 'b')"),
+    )
+    path = tmp_path / "bad.json"
+    for sets, message in cases:
+        path.write_text(json.dumps({"type": "setsystem", "ground": ["a", "b"], "sets": sets}))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == message
 
 
 def test_parse_operation_word():

@@ -97,6 +97,40 @@ def test_support_set_system_examples():
         support_set_system(big)
 
 
+def minor_oracle(a):
+    """The support by one rank per principal minor."""
+    return tuple(x for x in range(1 << a.n) if det_nullity(a, x)[0])
+
+
+@given(st.one_of(symmetric_matrices(), square_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_support_recursion_matches_minors(a):
+    assert support_set_system(a).family == minor_oracle(a)
+
+
+def test_support_recursion_matches_minors_seeded():
+    rng = random.Random(62)
+    for n in list(range(13)) * 2:
+        square = Gf2Matrix(GroundSet(tuple(f"x{i}" for i in range(n))), tuple(rng.randrange(1 << n) for _ in range(n)))
+        for a in (square, random_symmetric_matrix(rng, n)):
+            assert support_set_system(a).family == minor_oracle(a)
+
+
+def test_support_recursion_small_and_non_symmetric():
+    empty = Gf2Matrix(GroundSet(()), ())
+    assert support_set_system(empty).family == (0,)
+    for entry in (0, 1):
+        one = Gf2Matrix.from_rows(["a"], [[entry]])
+        assert support_set_system(one).family == minor_oracle(one) == ((0, 1) if entry else (0,))
+    # upper triangular: every principal minor is the product of its diagonal
+    # entries, so the support is the subsets of {a, c}; a recursion that takes
+    # the Schur update from column i alone (right only for symmetric A) differs
+    upper = Gf2Matrix.from_rows(["a", "b", "c"], [[1, 1, 1], [0, 0, 1], [0, 0, 1]])
+    assert support_set_system(upper).family == minor_oracle(upper) == (0b000, 0b001, 0b100, 0b101)
+    lower = Gf2Matrix.from_rows(["a", "b", "c"], [[1, 0, 0], [1, 0, 0], [1, 1, 1]])
+    assert support_set_system(lower).family == (0b000, 0b001, 0b100, 0b101)
+
+
 def test_ppt_identity_and_errors():
     a = TRIANGLE_TWO_LOOPS.matrix
     assert ppt(a, 0) == a

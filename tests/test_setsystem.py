@@ -21,7 +21,7 @@ from deltapoly import (
     vf_orbit,
 )
 from deltapoly.setsystem import pack_bits, scatter_bits
-from support import FIG_ORBIT, M0, random_graph
+from support import FIG_ORBIT, M0, random_graph, wide_set_system
 
 
 @st.composite
@@ -242,6 +242,15 @@ def test_pack_scatter_examples():
     assert pack_bits(0b1010, 0b1110) == 0b101
     assert scatter_bits(0b101, 0b1110) == 0b1010
     assert pack_bits(0b1111, 0) == scatter_bits(0b1111, 0) == 0
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 16, 17, 20))
+def test_member_sets_match_labels_of(n):
+    system = wide_set_system(random.Random(n), n)
+    sets = system.member_sets()
+    assert sets == [list(system.ground.labels_of(m)) for m in system.family]
+    assert len({id(s) for s in sets}) == len(sets)
+    assert SetSystem(system.ground, ()).member_sets() == []
 
 
 def test_labels_survive_operations():

@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from typing import Any
 
 from .delta import DivisibilityStatus, divisibility, is_delta_matroid, is_even, is_vf_closed
@@ -26,6 +27,7 @@ from .errors import (
     PivotUndefinedError,
     PreconditionError,
     SizeGuardError,
+    forced,
 )
 from .gf2 import Gf2Matrix, ppt, support_set_system
 from .graphs import Graph, _candidate_graph, graph_poly
@@ -35,12 +37,13 @@ from .matroids import (
     Representation,
     bicycle_dimension,
     binary_matroid_from_matrix,
+    dual_pivot_min_distance,
     fundamental_graph,
     tutte,
     tutte_dc,
 )
 from .recursion import Q1_recursive, q1_recursive, q2_q3_recursive
-from .setsystem import GroundSet, SetSystem, apply_vertex_flip, distance, full_flip_explicit, vf_orbit
+from .setsystem import GroundSet, SetSystem, apply_vertex_flip, full_flip_explicit, vf_orbit
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -244,18 +247,22 @@ def _print_poly(poly: UniPoly, fmt: str) -> None:
         print(poly.text())
 
 
-def _as_setsystem(value, force: bool) -> SetSystem:
+def _as_matroid(value, command: str) -> Matroid:
+    if isinstance(value, Representation):
+        return binary_matroid_from_matrix(value)
+    if isinstance(value, Matroid):
+        return value
+    raise DocumentError(f"{command} needs a matroid or representation document")
+
+
+def _as_setsystem(value) -> SetSystem:
     if isinstance(value, SetSystem):
         return value
     if isinstance(value, Graph):
         value = value.matrix
     if isinstance(value, Gf2Matrix):
-        return support_set_system(value, force=force)
-    if isinstance(value, Matroid):
-        return value.carrier
-    if isinstance(value, Representation):
-        return binary_matroid_from_matrix(value).carrier
-    raise DocumentError("this command needs a set-system-like input")
+        return support_set_system(value)
+    return _as_matroid(value, "this command").carrier
 
 
 def cmd_validate(args) -> int:
@@ -265,7 +272,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
+    system = _as_setsystem(parse_document(_read_input(args.input)))
     result = apply_operation_word(system, args.word)
     sys.stdout.write(canonical_json(emit_document(result)))
     return EXIT_OK
@@ -274,8 +281,8 @@ def cmd_apply(args) -> int:
 def cmd_poly(args) -> int:
     value = parse_document(_read_input(args.input))
     if args.which == "Q":
-        system = _as_setsystem(value, args.force)
-        table = multivariate_Q(system, force=args.force)
+        system = _as_setsystem(value)
+        table = multivariate_Q(system)
         if args.format == "json":
             print(json.dumps(table.to_records(), separators=(",", ":")))
         else:
@@ -283,22 +290,22 @@ def cmd_poly(args) -> int:
                 print(rec)
         return EXIT_OK
     if isinstance(value, Graph) and not args.via_system:
-        poly = graph_poly(value, args.which, force=args.force)
+        poly = graph_poly(value, args.which)
     else:
-        poly = poly_direct(_as_setsystem(value, args.force), args.which, force=args.force)
+        poly = poly_direct(_as_setsystem(value), args.which)
     _print_poly(poly, args.format)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
-    poly = poly_direct(system, args.which, force=args.force)
+    system = _as_setsystem(parse_document(_read_input(args.input)))
+    poly = poly_direct(system, args.which)
     print(poly.evaluate(args.at))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
+    system = _as_setsystem(parse_document(_read_input(args.input)))
     if args.predicate == "dm":
         result: Any = is_delta_matroid(system)
     elif args.predicate == "even":
@@ -317,16 +324,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
+    system = _as_setsystem(parse_document(_read_input(args.input)))
     gen = "fullV-alternation" if args.generators == "fullv" else "all-single-element-flips"
-    systems = vf_orbit(system, gen, cap=args.cap, force=args.force)
+    systems = vf_orbit(system, gen, cap=args.cap)
     docs = [emit_document(s) for s in systems]
     sys.stdout.write(canonical_json(docs))
     return EXIT_OK
 
 
 def cmd_tree(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)), args.force)
+    system = _as_setsystem(parse_document(_read_input(args.input)))
     if args.which == "q1":
         _, trace = q1_recursive(system)
     elif args.which in ("q2", "q3"):
@@ -360,7 +367,7 @@ def cmd_from_graph(args) -> int:
         raise DocumentError("from-graph needs a graph document")
     out = {
         "matrix": emit_document(value.matrix),
-        "setsystem": emit_document(support_set_system(value.matrix, force=args.force)),
+        "setsystem": emit_document(support_set_system(value.matrix)),
     }
     sys.stdout.write(canonical_json(out))
     return EXIT_OK
@@ -370,7 +377,7 @@ def cmd_from_matrix(args) -> int:
     value = parse_document(_read_input(args.input))
     if not isinstance(value, Gf2Matrix):
         raise DocumentError("from-matrix needs a matrix document")
-    sys.stdout.write(canonical_json(emit_document(support_set_system(value, force=args.force))))
+    sys.stdout.write(canonical_json(emit_document(support_set_system(value))))
     return EXIT_OK
 
 
@@ -385,14 +392,7 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_tutte(args) -> int:
-    value = parse_document(_read_input(args.input))
-    if isinstance(value, Representation):
-        matroid = binary_matroid_from_matrix(value)
-    elif isinstance(value, Matroid):
-        matroid = value
-    else:
-        raise DocumentError("tutte needs a matroid or representation document")
-    poly = tutte(matroid, force=args.force)
+    poly = tutte(_as_matroid(parse_document(_read_input(args.input)), "tutte"))
     if args.format == "json":
         print(json.dumps(poly.to_records(), separators=(",", ":")))
     else:
@@ -409,15 +409,8 @@ def cmd_bicycle_dim(args) -> int:
 
 
 def cmd_fundamental_graph(args) -> int:
-    value = parse_document(_read_input(args.input))
-    if isinstance(value, Representation):
-        matroid = binary_matroid_from_matrix(value)
-    elif isinstance(value, Matroid):
-        matroid = value
-    else:
-        raise DocumentError("fundamental-graph needs a matroid or representation document")
-    labels = _parse_label_list(args.basis)
-    graph = fundamental_graph(matroid, labels)
+    matroid = _as_matroid(parse_document(_read_input(args.input)), "fundamental-graph")
+    graph = fundamental_graph(matroid, _parse_label_list(args.basis))
     sys.stdout.write(canonical_json(emit_document(graph)))
     return EXIT_OK
 
@@ -431,41 +424,38 @@ def cmd_verify(args) -> int:
         lines.append((name, ok))
 
     if isinstance(value, Gf2Matrix):
-        value = support_set_system(value, force=args.force)
+        value = support_set_system(value)
     if isinstance(value, Graph):
-        system = support_set_system(value.matrix, force=args.force)
+        system = support_set_system(value.matrix)
         for which in ("q1", "q2", "q3", "Q1"):
-            add(
-                f"graph-vs-setsystem {which}",
-                graph_poly(value, which, force=args.force) == poly_direct(system, which, force=args.force),
-            )
+            add(f"graph-vs-setsystem {which}", graph_poly(value, which) == poly_direct(system, which))
         # the candidate equals the input graph iff system_to_graph(system) would return it
         add("graph roundtrip", _candidate_graph(system).matrix == value.matrix)
         value = system
     if isinstance(value, Representation):
         value = binary_matroid_from_matrix(value)
     if isinstance(value, Matroid):
-        t = tutte(value, force=args.force)
+        t = tutte(value)
         add("tutte rank-sum vs deletion-contraction", t == tutte_dc(value))
-        q1 = poly_direct(value.carrier, "q1", force=args.force)
+        q1 = poly_direct(value.carrier, "q1")
         add("tutte diagonal vs shifted q1", t.diagonal() == q1.shift_variable(-1))
         rep = value.representation
         if rep is not None:
-            dual = full_flip_explicit(value.carrier, "dualpivot", force=args.force)
-            add("bicycle dimension vs dual-pivot distance", bicycle_dimension(rep) == distance(dual, 0))
+            ok = bicycle_dimension(rep) == dual_pivot_min_distance(value.carrier)
+            add("bicycle dimension vs dual-pivot distance", ok)
         value = value.carrier
     if isinstance(value, SetSystem):
         system = value
         if system.n <= args.limit:
-            table = multivariate_Q(system, force=args.force)
+            table = multivariate_Q(system)
             names = ("Q1", "q1", "q2", "q3")
-            direct = {which: poly_direct(system, which, force=args.force) for which in names}
+            direct = {which: poly_direct(system, which) for which in names}
             for which, poly in direct.items():
                 add(f"multivariate specialization {which}", specialize(table, which) == poly)
             if is_delta_matroid(system):
                 add("q1 recursion vs direct", q1_recursive(system, checked=False)[0] == direct["q1"])
                 for which, kind in (("q2", "dualpivot"), ("q3", "loopc")):
-                    if is_delta_matroid(full_flip_explicit(system, kind, force=args.force)):
+                    if is_delta_matroid(full_flip_explicit(system, kind)):
                         recursive = q2_q3_recursive(system, which, checked=False)[0]
                         add(f"{which} recursion vs direct", recursive == direct[which])
                 equal = Q1_recursive(system, checked=False)[0] == direct["Q1"]
@@ -572,7 +562,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with forced() if args.force else nullcontext():
+            return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

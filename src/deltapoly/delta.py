@@ -71,22 +71,11 @@ def divisibility(system: SetSystem, element) -> DivisibilityStatus:
     bit = system.ground.coerce(element)
     if bit.bit_count() != 1:
         raise ValueError("divisibility is defined per single element")
-    has_with = any(m & bit for m in system.family)
-    has_without = any(not m & bit for m in system.family)
-    div = has_with and has_without
-    fam = set(system.family)
-    strong = div and any(m ^ bit not in fam for m in system.family)
-    if __debug__:
-        # cross-check against the existential definitions
-        exists_pair = any(
-            (x ^ y) & bit for x in system.family for y in system.family
-        )
-        assert div == exists_pair
-    return DivisibilityStatus(div, strong)
+    return DivisibilityStatus(divisible_by(system, bit), strongly_divisible_by(system, bit))
 
 
 def divisible_by(system: SetSystem, bit: int) -> bool:
-    """Fast path used by the recursion engine; bit must be a single element."""
+    """Used by divisibility and the recursion engine; bit must be a single element."""
     has_with = False
     has_without = False
     for m in system.family:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cell limit with its scoped override."""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 
 class DeltaPolyError(Exception):
@@ -30,17 +34,33 @@ class PreconditionError(DeltaPolyError):
 
 
 class SizeGuardError(DeltaPolyError):
-    """The instance exceeds the cell limit; pass force=True to override."""
+    """The instance exceeds the cell limit; run it inside deltapoly.forced() (CLI: --force)."""
 
 
 MAX_CELLS = 1 << 20  # largest table an unforced call builds: 2^n subsets or 3^n pairs Z in X
 
+_FORCED: ContextVar[bool] = ContextVar("deltapoly_forced", default=False)
 
-def size_guard(cells: int, what: str, force: bool) -> None:
-    """Refuse a table of more than MAX_CELLS cells unless forced."""
-    if cells > MAX_CELLS and not force:
+
+@contextmanager
+def forced() -> Iterator[None]:
+    """Let every guarded call made inside the block pass the cell limit.
+
+    The override is held in a ContextVar, so it is per thread: a thread
+    started inside the block runs in its own context and is not forced.
+    """
+    token = _FORCED.set(True)
+    try:
+        yield
+    finally:
+        _FORCED.reset(token)
+
+
+def size_guard(cells: int, what: str) -> None:
+    """Refuse a table of more than MAX_CELLS cells outside forced()."""
+    if cells > MAX_CELLS and not _FORCED.get():
         msg = f"{what} needs {cells:,} cells, over the limit of {MAX_CELLS:,}"
-        raise SizeGuardError(f"{msg}; pass force=True (CLI: --force) to override")
+        raise SizeGuardError(f"{msg}; run it inside deltapoly.forced() (CLI: --force)")
 
 
 class DocumentError(DeltaPolyError):

@@ -260,7 +260,7 @@ def schur_complement(matrix: Gf2Matrix, subset: Subset) -> Gf2Matrix:
     return ppt(matrix, x).principal(matrix.ground.full_mask & ~x)
 
 
-def support_set_system(matrix: Gf2Matrix, force: bool = False) -> SetSystem:
+def support_set_system(matrix: Gf2Matrix) -> SetSystem:
     """All index sets whose principal submatrix is nonsingular.
 
     The empty set always qualifies, so the result is normal.  Symmetric
@@ -276,5 +276,5 @@ def support_set_system(matrix: Gf2Matrix, force: bool = False) -> SetSystem:
     complement.  ``det_nullity`` stays the per-minor oracle.
     """
     n = matrix.n
-    size_guard(1 << n, f"principal-minor enumeration at n={n}", force)
+    size_guard(1 << n, f"principal-minor enumeration at n={n}")
     return SetSystem(matrix.ground, cube.members(cube.principal_support(matrix.rows)))

@@ -196,14 +196,14 @@ def elementary_pivots(graph: Graph) -> list[Mask]:
     return minimal
 
 
-def graph_poly(graph: Graph, which: Which, force: bool = False) -> UniPoly:
+def graph_poly(graph: Graph, which: Which) -> UniPoly:
     """Interlace-family polynomial from induced-subgraph nullities.
 
     q1 sums nullities of induced subgraphs, q2 of diagonal toggles, q3 of
     induced subgraphs after toggling every diagonal entry, and Q1 runs
     over toggles inside each induced subgraph.  Must match the set-system
     polynomial of the support system.  Refuses the sizes poly_direct
-    refuses unless forced.
+    refuses outside ``forced()``.
     """
     n = graph.n
     full = graph.ground.full_mask
@@ -216,7 +216,7 @@ def graph_poly(graph: Graph, which: Which, force: bool = False) -> UniPoly:
     }
     if which not in pairs:
         raise ValueError(f"unknown polynomial name {which!r}")
-    size_guard(3**n if which == "Q1" else 1 << n, f"{which} at n={n}", force)
+    size_guard(3**n if which == "Q1" else 1 << n, f"{which} at n={n}")
     return _nullity_histogram(graph.matrix, pairs[which])
 
 

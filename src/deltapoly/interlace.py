@@ -228,7 +228,7 @@ class MultiQPoly:
         return out
 
 
-def multivariate_Q(system: SetSystem, force: bool = False) -> MultiQPoly:
+def multivariate_Q(system: SetSystem) -> MultiQPoly:
     """Tabulate all 3^n ordered-partition exponents of a proper system.
 
     For each C the dual pivot is applied incrementally (Gray-code order),
@@ -239,7 +239,7 @@ def multivariate_Q(system: SetSystem, force: bool = False) -> MultiQPoly:
     """
     system.require_proper()
     n = system.ground.n
-    size_guard(3**n, f"the multivariate table at n={n}", force)
+    size_guard(3**n, f"the multivariate table at n={n}")
     full = system.ground.full_mask
     entries: dict[tuple[Mask, Mask], int] = {}
     cur = system
@@ -292,7 +292,7 @@ def permute_Q_under_flip(table: MultiQPoly, kind, subset) -> MultiQPoly:
 _COUNTS = {"q1": cube.q1_counts, "q2": cube.q2_counts, "q3": cube.q3_counts, "Q1": cube.Q1_counts}
 
 
-def poly_direct(system: SetSystem, which: Which, force: bool = False) -> UniPoly:
+def poly_direct(system: SetSystem, which: Which) -> UniPoly:
     """Compute one of Q1, q1, q2, q3 straight from its summation formula.
 
     q1 sums distances of all subsets; q2 sums, over every loop
@@ -307,5 +307,5 @@ def poly_direct(system: SetSystem, which: Which, force: bool = False) -> UniPoly
     if which not in _COUNTS:
         raise ValueError(f"unknown polynomial name {which!r}")
     n = system.ground.n
-    size_guard(3**n if which == "Q1" else 1 << n, f"{which} at n={n}", force)
+    size_guard(3**n if which == "Q1" else 1 << n, f"{which} at n={n}")
     return UniPoly.from_coeffs(_COUNTS[which](system.family, n))

@@ -243,7 +243,7 @@ def rank_nullity(matroid: Matroid, subset: Subset) -> tuple[int, int]:
     return x.bit_count() - nul, nul
 
 
-def tutte(matroid: Matroid, force: bool = False) -> BiPoly:
+def tutte(matroid: Matroid) -> BiPoly:
     """Rank-nullity subset expansion of the Tutte polynomial.
 
     T(x, y) sums (x - 1)^(r - r(X)) (y - 1)^(|X| - r(X)) over all subsets
@@ -251,9 +251,9 @@ def tutte(matroid: Matroid, force: bool = False) -> BiPoly:
     ch. 1).  The hypercube kernel gives the exact rank layers E_k, the
     subsets of rank k, as whole-cube indicators, so the coefficient of
     (x - 1)^(r - k) (y - 1)^(j - k) is the number of j-element subsets in
-    E_k.  Refuses 2^n cells over MAX_CELLS unless forced.
+    E_k.  Refuses 2^n cells over MAX_CELLS outside ``forced()``.
     """
-    size_guard(1 << matroid.n, f"tutte at n={matroid.n}", force)
+    size_guard(1 << matroid.n, f"tutte at n={matroid.n}")
     r = matroid.rank
     out = BiPoly.zero()
     for k, by_size in enumerate(cube.rank_size_counts(matroid.carrier.family, matroid.n)):

@@ -307,7 +307,7 @@ class VertexFlipWord:
 # -- whole-ground flips by their closed formulas ------------------------------
 
 
-def full_flip_explicit(system: SetSystem, kind: FlipKind, force: bool = False) -> SetSystem:
+def full_flip_explicit(system: SetSystem, kind: FlipKind) -> SetSystem:
     """Flip on the whole ground set, computed by the closed membership rules.
 
     pivot: a set belongs iff its complement belongs to the input.
@@ -325,7 +325,7 @@ def full_flip_explicit(system: SetSystem, kind: FlipKind, force: bool = False) -
     if kind not in ("loopc", "dualpivot"):
         raise ValueError(f"unknown flip kind {kind!r}")
     n = system.ground.n
-    size_guard(1 << n, f"whole-ground {kind} at n={n}", force)
+    size_guard(1 << n, f"whole-ground {kind} at n={n}")
     return SetSystem(system.ground, cube.full_flip(system.family, n, kind))
 
 
@@ -344,9 +344,7 @@ def distance(system: SetSystem, subset: Subset = 0) -> int:
 OrbitGenerators = Literal["fullV-alternation", "all-single-element-flips"]
 
 
-def vf_orbit(
-    system: SetSystem, generators: OrbitGenerators, cap: int = 100_000, force: bool = False
-) -> list[SetSystem]:
+def vf_orbit(system: SetSystem, generators: OrbitGenerators, cap: int = 100_000) -> list[SetSystem]:
     """Closure of a system under the chosen flip generators, canonical dedup.
 
     fullV-alternation walks +V, *V, +V, ... until the walk returns to the
@@ -360,7 +358,7 @@ def vf_orbit(
         steps = 0
         while True:
             kind: FlipKind = "loopc" if steps % 2 == 0 else "pivot"
-            cur = full_flip_explicit(cur, kind, force=force)
+            cur = full_flip_explicit(cur, kind)
             steps += 1
             if cur == system and steps % 2 == 0:
                 return seen

@@ -7,6 +7,7 @@ import pytest
 
 from deltapoly import (
     CapExceededError,
+    DivisibilityStatus,
     GroundSet,
     ImproperSystemError,
     NotAGraphError,
@@ -57,6 +58,9 @@ def test_divisibility_examples():
     power = powerset_system(["a", "b", "c"])
     status = divisibility(power, "a")
     assert status.divisible and not status.strongly_divisible
+    # a loop of a 2^12-member family: the existential pair scan would visit all 2^24 pairs
+    loop = SetSystem(GroundSet(tuple(f"x{i}" for i in range(13))), tuple(range(1 << 12)))
+    assert divisibility(loop, "x12") == DivisibilityStatus(False, False)
 
 
 def test_strong_implies_divisible():
@@ -66,6 +70,9 @@ def test_strong_implies_divisible():
         for i in range(system.ground.n):
             status = divisibility(system, 1 << i)
             assert status.divisible or not status.strongly_divisible
+            # the existential definition: some two members differ in the element
+            exists_pair = any((x ^ y) >> i & 1 for x in system.family for y in system.family)
+            assert status.divisible == exists_pair
 
 
 def test_strong_divisibility_is_flip_invariant():

@@ -1,10 +1,13 @@
 """Polynomial types and the interlace family: direct sums, the multivariate
 table, specializations, flip behaviour, and evaluation identities."""
 
+import inspect
+import pathlib
 import random
 
 import pytest
 
+import deltapoly
 from deltapoly import (
     Graph,
     GroundSet,
@@ -15,17 +18,24 @@ from deltapoly import (
     distance,
     dual_pivot_min_distance,
     evaluate,
+    forced,
     full_flip_explicit,
+    fundamental_graph,
     graph_poly,
+    graph_to_system,
     is_even,
     multivariate_Q,
     permute_Q_under_flip,
     poly_direct,
+    recursion_consistency,
     specialize,
     support_set_system,
     tutte,
+    tutte_diagonal_check,
+    tutte_evaluations,
     uniform_matroid,
 )
+from deltapoly.errors import size_guard
 from support import M0, TRIANGLE_TWO_LOOPS
 
 
@@ -113,25 +123,54 @@ def test_size_guard(monkeypatch):
     with pytest.raises(SizeGuardError):
         poly_direct(SetSystem.from_sets([f"x{i}" for i in range(21)], [[]]), "q1")
 
-    # one monkeypatch moves every guard; force=True returns the unguarded value
+    # one monkeypatch moves every guard; inside forced() each call returns the unguarded value
     graph = TRIANGLE_TWO_LOOPS
     matroid = uniform_matroid(2, 4)
+    triangle = uniform_matroid(2, 3)  # binary, so its fundamental graph recovers it
     calls = {
-        "loopc": lambda force: full_flip_explicit(M0, "loopc", force=force),
-        "dualpivot": lambda force: full_flip_explicit(M0, "dualpivot", force=force),
-        "support": lambda force: support_set_system(graph.matrix, force=force),
-        "multivariate": lambda force: multivariate_Q(M0, force=force).entries,
-        "tutte": lambda force: tutte(matroid, force=force),
+        "loopc": lambda: full_flip_explicit(M0, "loopc"),
+        "dualpivot": lambda: full_flip_explicit(M0, "dualpivot"),
+        "support": lambda: support_set_system(graph.matrix),
+        "multivariate": lambda: multivariate_Q(M0).entries,
+        "tutte": lambda: tutte(matroid),
+        "tutte evaluations": lambda: tutte_evaluations(matroid, -1),
+        "tutte diagonal": lambda: tutte_diagonal_check(matroid),
+        "dual-pivot distance": lambda: dual_pivot_min_distance(M0),
+        "fundamental graph": lambda: fundamental_graph(triangle, triangle.bases()[0]),
+        "graph to system": lambda: graph_to_system(graph),
+        "Q1 consistency": lambda: recursion_consistency(M0, "Q1"),
     }
     for which in ("Q1", "q1", "q2", "q3"):
-        calls[f"direct {which}"] = lambda force, which=which: poly_direct(M0, which, force=force)
-        calls[f"graph {which}"] = lambda force, which=which: graph_poly(graph, which, force=force)
-    expected = {name: call(False) for name, call in calls.items()}
+        calls[f"direct {which}"] = lambda which=which: poly_direct(M0, which)
+        calls[f"graph {which}"] = lambda which=which: graph_poly(graph, which)
+    expected = {name: call() for name, call in calls.items()}
     monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 4)
     for name, call in calls.items():
         with pytest.raises(SizeGuardError, match="over the limit of 4;"):
-            call(False)
-        assert call(True) == expected[name], name
+            call()
+        with forced():
+            assert call() == expected[name], name
+        with pytest.raises(SizeGuardError, match="over the limit of 4;"):
+            call()
+
+
+def test_cell_limit_override_is_one_scope():
+    # forced() is the only way past the cell limit: no public callable takes a force flag
+    for name in deltapoly.__all__:
+        obj = getattr(deltapoly, name)
+        for member in [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]:
+            member = getattr(member, "__func__", member)  # unwrap classmethods
+            if inspect.isfunction(member):
+                assert "force" not in inspect.signature(member).parameters, (name, member)
+    assert list(inspect.signature(size_guard).parameters) == ["cells", "what"]
+    package = pathlib.Path(deltapoly.__file__).parent
+    raises = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "raise SizeGuardError" in line
+    ]
+    assert raises == ["errors.py"]
 
 
 def test_permutation_under_flips_matches_recomputation():

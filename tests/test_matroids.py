@@ -18,6 +18,7 @@ from deltapoly import (
     bicycle_dimension,
     binary_matroid_from_matrix,
     dual_pivot_min_distance,
+    forced,
     fundamental_graph,
     graph_poly,
     graph_to_system,
@@ -189,7 +190,10 @@ def test_tutte_size_guard():
     u121 = uniform_matroid(1, 21)
     with pytest.raises(SizeGuardError):
         tutte(u121)
-    assert tutte(u121, force=True) == uniform_tutte(1, 21)
+    with forced():
+        assert tutte(u121) == uniform_tutte(1, 21)
+    with pytest.raises(SizeGuardError):
+        tutte(u121)
 
 
 def test_tutte_dc_base_case():

@@ -9,6 +9,7 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -16,7 +17,6 @@ from contextlib import nullcontext
 from typing import Any
 
 from .delta import DivisibilityStatus, divisibility, is_delta_matroid, is_even, is_vf_closed
-from .delta import _vf_closed_delta_matroid
 from .errors import (
     CapExceededError,
     DeltaPolyError,
@@ -459,7 +459,7 @@ def cmd_verify(args) -> int:
                         recursive = q2_q3_recursive(system, which, checked=False)[0]
                         add(f"{which} recursion vs direct", recursive == direct[which])
                 equal = Q1_recursive(system, checked=False)[0] == direct["Q1"]
-                if _vf_closed_delta_matroid(system):
+                if is_vf_closed(system):
                     add("Q1 recursion vs direct", equal)
                 else:
                     note = "happens to match" if equal else "differs from"
@@ -476,6 +476,7 @@ def cmd_verify(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, not at import, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="deltapoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,19 +4,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import errors
+from . import cube, errors
 from .errors import CapExceededError, NotAGraphError
 from .graphs import system_to_graph
 from .setsystem import SetSystem, distance
 
 
 def is_delta_matroid(system: SetSystem) -> bool:
-    """Symmetric exchange axiom, brute force over ordered member pairs.
+    """Symmetric exchange axiom: for members X, Y and every u in X ^ Y,
+    either X ^ {u} is a member or some v != u in X ^ Y makes X ^ {u, v} one.
 
-    For members X, Y and every u in X ^ Y, either X ^ {u} is a member or
-    some v != u in X ^ Y makes X ^ {u, v} a member.  Improper systems
-    fail by definition.
+    Improper systems fail by definition.  While 2^n is at most
+    ``MAX_CELLS`` two routes skip the |F|^2 scan of ``_exchange_axiom``:
+
+    - an equicardinal family is a delta-matroid iff it is the basis family
+      of a matroid (Bouchet 1987), which ``cube.is_basis_family`` checks;
+    - a system that ``_is_binary`` certifies is one.
+
+    Every other input goes to ``_exchange_axiom``, the brute force, which
+    the tests keep as the oracle for both routes.
     """
+    if not system.family:
+        return False
+    n = system.ground.n
+    if system.is_equicardinal and 1 << n <= errors.MAX_CELLS:
+        return cube.is_basis_family(system.family, n)
+    return _is_binary(system) or _exchange_axiom(system)
+
+
+def _is_binary(system: SetSystem) -> bool:
+    """Whether a proper system is a twist of the support of a symmetric GF(2) matrix.
+
+    The system pivoted by a member contains the empty set; it is such a
+    support iff ``system_to_graph`` reconstructs a graph from it.  Such
+    supports are delta-matroids (Bouchet, "Representability of
+    Δ-matroids", 1987) and vf-safe (Brijder & Hoogeboom, "The group
+    structure of pivot and loop complementation on graphs and set
+    systems", European J. Combin. 2011), and twists keep both.  Above
+    ``MAX_CELLS`` the round trip would not fit, so the answer is False.
+    """
+    if 1 << system.ground.n > errors.MAX_CELLS:
+        return False
+    try:
+        system_to_graph(system.pivot(system.family[0]))
+    except NotAGraphError:
+        return False
+    return True
+
+
+def _exchange_axiom(system: SetSystem) -> bool:
+    """The exchange axiom by brute force over ordered member pairs, O(|F|^2 n^2)."""
     fam = set(system.family)
     if not fam:
         return False
@@ -99,34 +136,17 @@ def strongly_divisible_by(system: SetSystem, bit: int) -> bool:
 def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
     """Every image of the system under vertex-flip sequences is a delta-matroid.
 
-    The checks run in this order:
-
-    1. The system must be proper (ImproperSystemError otherwise).
-    2. The system itself must satisfy the exchange axiom.
-    3. Binary fast path, while 2^n is at most ``MAX_CELLS``: pivot by any
-       member to reach normal form; if ``system_to_graph`` reconstructs a
-       graph, the system is a twist of a binary delta-matroid.  Binary
-       delta-matroids are vf-safe (Brijder & Hoogeboom, "The group
-       structure of pivot and loop complementation on graphs and set
-       systems", European J. Combin. 2011), so the answer is True after
-       one support enumeration.
-    4. Otherwise every flip image is enumerated (see
-       ``_flip_images_are_delta_matroids``); at most 3^n images, and
-       more than ``cap`` distinct ones raise CapExceededError.
+    The system must be proper (ImproperSystemError otherwise).  A binary
+    system (``_is_binary``) is vf-safe, so the answer is True after one
+    graph round trip.  Otherwise the system itself must be a
+    delta-matroid and so must every flip image (see
+    ``_flip_images_are_delta_matroids``); at most 3^n images, and more
+    than ``cap`` distinct ones raise CapExceededError.
     """
     system.require_proper()
-    return is_delta_matroid(system) and _vf_closed_delta_matroid(system, cap)
-
-
-def _vf_closed_delta_matroid(system: SetSystem, cap: int = 100_000) -> bool:
-    """Steps 3 and 4 of ``is_vf_closed``, for a proper system already known to be a delta-matroid."""
-    if 1 << system.ground.n <= errors.MAX_CELLS:
-        try:
-            system_to_graph(system.pivot(system.family[0]))
-            return True
-        except NotAGraphError:
-            pass
-    return _flip_images_are_delta_matroids(system, cap)
+    if _is_binary(system):
+        return True
+    return is_delta_matroid(system) and _flip_images_are_delta_matroids(system, cap)
 
 
 def _flip_images_are_delta_matroids(system: SetSystem, cap: int) -> bool:
@@ -150,7 +170,7 @@ def _flip_images_are_delta_matroids(system: SetSystem, cap: int) -> bool:
                 seen.add(image.family)
                 if len(seen) > cap:
                     raise CapExceededError(f"vf-closure enumeration exceeded cap {cap}")
-                if not is_delta_matroid(image):
+                if not _exchange_axiom(image):
                     return False
                 new_frontier.append(image)
         frontier = new_frontier

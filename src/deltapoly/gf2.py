@@ -46,14 +46,6 @@ def gf2_row_reduce(vectors: Iterable[int]) -> list[int]:
     return sorted(basis, key=lambda b: b & -b)
 
 
-def gf2_in_span(vector: int, basis_reduced: Sequence[int]) -> bool:
-    v = vector
-    for b in basis_reduced:
-        if v & (b & -b):
-            v ^= b
-    return v == 0
-
-
 def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
     """Basis of {x : every row is orthogonal to x}, vectors over the columns."""
     reduced = gf2_row_reduce(rows)
@@ -69,28 +61,6 @@ def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
                 vec |= 1 << pc
         kernel.append(vec)
     return kernel
-
-
-def gf2_solve_columns(columns: Sequence[int], target: int) -> Optional[int]:
-    """Coefficients (as a mask over the column list) with XOR sum equal to target.
-
-    Returns one solution or None when the target is outside the span.
-    """
-    basis: list[tuple[int, int]] = []  # (vector, combination mask)
-    for j, col in enumerate(columns):
-        v, combo = col, 1 << j
-        for b, c in basis:
-            if v & (b & -b):
-                v ^= b
-                combo ^= c
-        if v:
-            basis.append((v, combo))
-    v, combo = target, 0
-    for b, c in basis:
-        if v & (b & -b):
-            v ^= b
-            combo ^= c
-    return combo if v == 0 else None
 
 
 @dataclass(frozen=True)
@@ -176,11 +146,6 @@ def det_nullity(matrix: Gf2Matrix, subset: Subset) -> tuple[int, int]:
     # the columns outside x are zeroed rather than dropped: the rank is the same
     rank = gf2_rank([row & x for i, row in enumerate(matrix.rows) if x >> i & 1])
     return (1 if rank == k else 0), k - rank
-
-
-def nullity(matrix: Gf2Matrix, subset: Subset | None = None) -> int:
-    x = matrix.ground.full_mask if subset is None else matrix.ground.coerce(subset)
-    return det_nullity(matrix, x)[1]
 
 
 def _invert(rows: Sequence[int], k: int) -> Optional[list[int]]:

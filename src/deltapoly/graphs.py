@@ -86,10 +86,6 @@ class Graph:
         x = self.ground.coerce(subset)
         return self.induced(self.ground.full_mask & ~x)
 
-    def nullity(self, subset: Subset | None = None) -> int:
-        x = self.ground.full_mask if subset is None else self.ground.coerce(subset)
-        return det_nullity(self.matrix, x)[1]
-
     def __str__(self) -> str:
         es = ",".join(f"{u}-{v}" for u, v in self.edges())
         ls = ",".join(self.loops())

@@ -80,9 +80,6 @@ class UniPoly:
         top = max(self._c)
         return [self._c.get(d, 0) for d in range(top + 1)]
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":

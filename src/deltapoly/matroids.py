@@ -14,13 +14,13 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from . import cube, errors
+from . import cube
 from .delta import is_delta_matroid
 from .errors import PreconditionError, size_guard
-from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, gf2_solve_columns
+from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce
 from .graphs import Graph, graph_to_system
 from .interlace import UniPoly, poly_direct
-from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit, scatter_bits
+from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit
 
 
 class BiPoly:
@@ -179,10 +179,8 @@ class Representation:
 class Matroid:
     """Matroid described by its bases, stored as an equicardinal set system.
 
-    The bases are checked by local submodularity of their rank on the
-    hypercube while 2^n is at most MAX_CELLS; above it, where the cube
-    would not fit, by the symmetric exchange axiom, which on equicardinal
-    families is basis exchange (Bouchet 1987).
+    The bases must satisfy the symmetric exchange axiom, which on
+    equicardinal families is basis exchange (Bouchet 1987).
     """
 
     carrier: SetSystem
@@ -193,12 +191,7 @@ class Matroid:
             raise PreconditionError("a matroid needs at least one basis")
         if not self.carrier.is_equicardinal:
             raise PreconditionError("bases must be equicardinal")
-        n = self.carrier.n
-        if 1 << n <= errors.MAX_CELLS:
-            ok = cube.is_basis_family(self.carrier.family, n)
-        else:
-            ok = is_delta_matroid(self.carrier)
-        if not ok:
+        if not is_delta_matroid(self.carrier):
             raise PreconditionError("bases must satisfy the symmetric exchange axiom")
 
     @classmethod
@@ -219,9 +212,6 @@ class Matroid:
 
     def bases(self) -> tuple[Mask, ...]:
         return self.carrier.family
-
-    def is_basis(self, subset: Subset) -> bool:
-        return self.ground.coerce(subset) in self.carrier.family
 
 
 def uniform_matroid(rank: int, size: int, labels: Optional[Sequence[str]] = None) -> Matroid:
@@ -251,7 +241,7 @@ def tutte(matroid: Matroid) -> BiPoly:
     ch. 1).  The hypercube kernel gives the exact rank layers E_k, the
     subsets of rank k, as whole-cube indicators, so the coefficient of
     (x - 1)^(r - k) (y - 1)^(j - k) is the number of j-element subsets in
-    E_k.  Refuses 2^n cells over MAX_CELLS outside ``forced()``.
+    E_k.  Refuses 2^n cells over the cell limit outside ``forced()``.
     """
     size_guard(1 << matroid.n, f"tutte at n={matroid.n}")
     r = matroid.rank
@@ -373,17 +363,9 @@ def tutte_evaluations(matroid: Matroid, p: int) -> TutteEvalReport:
 def fundamental_circuit_support(matroid: Matroid, basis_mask: Mask, element_bit: Mask) -> Mask:
     """Basis elements participating in the fundamental circuit of an element.
 
-    With a representation the supports come from solving the basis
-    columns against the element's column; otherwise basis exchange is
-    used (the toggle by both elements must be a basis again).
+    A basis element b is in it iff the toggle by b and the element is a
+    basis again.
     """
-    rep = matroid.representation
-    if rep is not None:
-        cols = [rep.column_vector(j) for j in range(rep.ncols) if basis_mask >> j & 1]
-        combo = gf2_solve_columns(cols, rep.column_vector(element_bit.bit_length() - 1))
-        if combo is None:
-            raise PreconditionError("element is not spanned by the basis")
-        return scatter_bits(combo, basis_mask)
     fam = set(matroid.carrier.family)
     out = 0
     b = basis_mask

@@ -133,10 +133,6 @@ class SetSystem:
         ground = GroundSet(tuple(labels))
         return cls(ground, tuple(ground.mask_of(s) for s in sets))
 
-    @classmethod
-    def from_masks(cls, ground: GroundSet, masks: Iterable[Mask]) -> "SetSystem":
-        return cls(ground, tuple(masks))
-
     # -- basic views ----------------------------------------------------------
 
     @property

@@ -4,10 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltapoly import (
     CapExceededError,
     DivisibilityStatus,
+    Gf2Matrix,
     GroundSet,
     ImproperSystemError,
     NotAGraphError,
@@ -18,11 +21,12 @@ from deltapoly import (
     is_delta_matroid,
     is_even,
     is_vf_closed,
+    support_set_system,
     system_to_graph,
     uniform_matroid,
     vf_orbit,
 )
-from deltapoly.delta import _flip_images_are_delta_matroids
+from deltapoly.delta import _exchange_axiom, _flip_images_are_delta_matroids
 from deltapoly.errors import MAX_CELLS
 from support import M0, random_graphs, random_set_system, twisted_graph_systems
 from deltapoly import graph_to_system
@@ -40,6 +44,47 @@ def test_is_delta_matroid_examples():
     assert not is_delta_matroid(SetSystem.from_sets(["a", "b", "c"], [[], ["a", "b", "c"]]))
     assert is_delta_matroid(SetSystem.from_sets(["a", "b"], [["a"], ["b"]]))
     assert not is_delta_matroid(SetSystem.from_sets(["a"], []))
+
+
+LABELS3 = ["1", "2", "3"]
+NON_BINARY = [
+    uniform_matroid(2, 4).carrier,
+    uniform_matroid(2, 6).carrier,
+    powerset_system(LABELS3, include_empty=False),
+    # the criterion-04 counterexample: every nonempty subset
+    SetSystem.from_sets(LABELS3, [list(c) for k in range(1, 4) for c in combinations(LABELS3, k)]),
+]
+
+
+@st.composite
+def exchange_inputs(draw):
+    """A twisted graph support system with one to three members toggled, or an equicardinal family."""
+    n = draw(st.integers(0, 7))
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    if n and draw(st.booleans()):
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i, n):
+                if draw(st.booleans()):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        subsets = st.integers(0, (1 << n) - 1)
+        twisted = support_set_system(Gf2Matrix(ground, tuple(rows))).pivot(draw(subsets))
+        toggles = draw(st.sets(subsets, min_size=1, max_size=3))
+        return SetSystem(ground, tuple(set(twisted.family) ^ toggles))
+    r = draw(st.integers(0, n))
+    candidates = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+    return SetSystem(ground, tuple(draw(st.sets(st.sampled_from(candidates), min_size=1))))
+
+
+@given(exchange_inputs())
+@settings(max_examples=300, deadline=None)
+@example(NON_BINARY[0])
+@example(NON_BINARY[1])
+@example(NON_BINARY[2])
+@example(NON_BINARY[3])
+def test_is_delta_matroid_matches_exchange_axiom(system):
+    assert is_delta_matroid(system) == _exchange_axiom(system), system
 
 
 def test_is_even_examples():
@@ -143,9 +188,9 @@ def test_vf_closed_matches_bruteforce_orbit():
 
 def test_vf_closed_fast_path_matches_enumeration(delta_corpus, vf_corpus):
     for system in delta_corpus + [s for s in vf_corpus if s.n <= 5]:
-        by_enumeration = is_delta_matroid(system) and _flip_images_are_delta_matroids(
-            system, cap=100_000
-        )
+        exchange = _exchange_axiom(system)
+        assert is_delta_matroid(system) == exchange, system
+        by_enumeration = exchange and _flip_images_are_delta_matroids(system, cap=100_000)
         assert is_vf_closed(system) == by_enumeration
 
 

@@ -18,13 +18,7 @@ from deltapoly import (
     schur_complement,
     support_set_system,
 )
-from deltapoly.gf2 import (
-    gf2_in_span,
-    gf2_kernel_basis,
-    gf2_rank,
-    gf2_row_reduce,
-    gf2_solve_columns,
-)
+from deltapoly.gf2 import gf2_kernel_basis, gf2_rank, gf2_row_reduce
 from support import TRIANGLE_TWO_LOOPS, M0, random_symmetric_matrix
 
 
@@ -52,8 +46,6 @@ def test_rank_and_reduce():
     assert gf2_rank([]) == 0
     basis = gf2_row_reduce([0b011, 0b101, 0b110, 0b000])
     assert len(basis) == 2
-    assert gf2_in_span(0b110, basis)
-    assert not gf2_in_span(0b001, basis)
 
 
 def test_kernel_basis():
@@ -63,13 +55,6 @@ def test_kernel_basis():
     for v in kernel:
         assert (0b111 & v).bit_count() % 2 == 0
     assert gf2_kernel_basis([], 2) == [1, 2]
-
-
-def test_solve_columns():
-    cols = [0b01, 0b10]
-    assert gf2_solve_columns(cols, 0b11) == 0b11
-    assert gf2_solve_columns(cols, 0b00) == 0
-    assert gf2_solve_columns([0b01], 0b10) is None
 
 
 def test_det_nullity_examples():

@@ -171,6 +171,9 @@ def test_cell_limit_override_is_one_scope():
         if "raise SizeGuardError" in line
     ]
     assert raises == ["errors.py"]
+    # one module decides by the cell limit which route a check takes
+    naming = [path.name for path in sorted(package.glob("*.py")) if "MAX_CELLS" in path.read_text()]
+    assert naming == ["delta.py", "errors.py"]
 
 
 def test_permutation_under_flips_matches_recomputation():

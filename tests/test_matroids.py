@@ -22,7 +22,6 @@ from deltapoly import (
     fundamental_graph,
     graph_poly,
     graph_to_system,
-    is_delta_matroid,
     is_vf_closed,
     rank_nullity,
     tutte,
@@ -32,6 +31,7 @@ from deltapoly import (
     uniform_matroid,
 )
 from deltapoly.cube import is_basis_family, members, rank_layers
+from deltapoly.delta import _exchange_axiom
 from support import (
     LABELS,
     graphic_matroid,
@@ -114,7 +114,7 @@ def equicardinal_families(draw):
 
 def _agree(n, family):
     system = SetSystem(GroundSet(tuple(LABELS[:n])), tuple(family))
-    verdict = is_delta_matroid(system)
+    verdict = _exchange_axiom(system)
     assert is_basis_family(family, n) == verdict, system
     return verdict
 

@@ -452,14 +452,15 @@ def cmd_verify(args) -> int:
             direct = {which: poly_direct(system, which) for which in names}
             for which, poly in direct.items():
                 add(f"multivariate specialization {which}", specialize(table, which) == poly)
-            if is_delta_matroid(system):
+            vf_closed = is_vf_closed(system)  # asks is_delta_matroid first, which keeps its verdict
+            if vf_closed or is_delta_matroid(system):
                 add("q1 recursion vs direct", q1_recursive(system, checked=False)[0] == direct["q1"])
                 for which, kind in (("q2", "dualpivot"), ("q3", "loopc")):
                     if is_delta_matroid(full_flip_explicit(system, kind)):
                         recursive = q2_q3_recursive(system, which, checked=False)[0]
                         add(f"{which} recursion vs direct", recursive == direct[which])
                 equal = Q1_recursive(system, checked=False)[0] == direct["Q1"]
-                if is_vf_closed(system):
+                if vf_closed:
                     add("Q1 recursion vs direct", equal)
                 else:
                     note = "happens to match" if equal else "differs from"

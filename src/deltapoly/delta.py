@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 from . import cube, errors
@@ -10,6 +12,26 @@ from .graphs import system_to_graph
 from .setsystem import SetSystem, distance
 
 
+def _per_system(predicate):
+    """Keep a predicate's verdict for each live system, keyed weakly by value.
+
+    ``is_vf_closed`` asks ``is_delta_matroid`` and ``_is_binary`` about its
+    input, and ``cmd_verify`` asks both public predicates in turn, so each
+    verdict is computed once while the system object is alive.
+    """
+    verdicts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(predicate)
+    def remembered(system: SetSystem) -> bool:
+        verdict = verdicts.get(system)
+        if verdict is None:
+            verdict = verdicts[system] = predicate(system)
+        return verdict
+
+    return remembered
+
+
+@_per_system
 def is_delta_matroid(system: SetSystem) -> bool:
     """Symmetric exchange axiom: for members X, Y and every u in X ^ Y,
     either X ^ {u} is a member or some v != u in X ^ Y makes X ^ {u, v} one.
@@ -22,7 +44,8 @@ def is_delta_matroid(system: SetSystem) -> bool:
     - a system that ``_is_binary`` certifies is one.
 
     Every other input goes to ``_exchange_axiom``, the brute force, which
-    the tests keep as the oracle for both routes.
+    the tests keep as the oracle for both routes.  The verdict is kept
+    while the system object lives.
     """
     if not system.family:
         return False
@@ -32,6 +55,7 @@ def is_delta_matroid(system: SetSystem) -> bool:
     return _is_binary(system) or _exchange_axiom(system)
 
 
+@_per_system
 def _is_binary(system: SetSystem) -> bool:
     """Whether a proper system is a twist of the support of a symmetric GF(2) matrix.
 
@@ -136,17 +160,18 @@ def strongly_divisible_by(system: SetSystem, bit: int) -> bool:
 def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
     """Every image of the system under vertex-flip sequences is a delta-matroid.
 
-    The system must be proper (ImproperSystemError otherwise).  A binary
-    system (``_is_binary``) is vf-safe, so the answer is True after one
-    graph round trip.  Otherwise the system itself must be a
-    delta-matroid and so must every flip image (see
-    ``_flip_images_are_delta_matroids``); at most 3^n images, and more
+    The system must be proper (ImproperSystemError otherwise) and is
+    itself an image, so it must be a delta-matroid.  A binary one is
+    vf-safe (``_is_binary``; on a non-equicardinal input
+    ``is_delta_matroid`` has already kept that verdict); for any other,
+    every flip image must be a delta-matroid (see
+    ``_flip_images_are_delta_matroids``): at most 3^n images, and more
     than ``cap`` distinct ones raise CapExceededError.
     """
     system.require_proper()
-    if _is_binary(system):
-        return True
-    return is_delta_matroid(system) and _flip_images_are_delta_matroids(system, cap)
+    if not is_delta_matroid(system):
+        return False
+    return _is_binary(system) or _flip_images_are_delta_matroids(system, cap)
 
 
 def _flip_images_are_delta_matroids(system: SetSystem, cap: int) -> bool:

@@ -360,32 +360,17 @@ def tutte_evaluations(matroid: Matroid, p: int) -> TutteEvalReport:
     return TutteEvalReport(p, value, d, None, k, divisible, k_odd, k_congruent)
 
 
-def fundamental_circuit_support(matroid: Matroid, basis_mask: Mask, element_bit: Mask) -> Mask:
-    """Basis elements participating in the fundamental circuit of an element.
-
-    A basis element b is in it iff the toggle by b and the element is a
-    basis again.
-    """
-    fam = set(matroid.carrier.family)
-    out = 0
-    b = basis_mask
-    while b:
-        low = b & -b
-        b ^= low
-        if basis_mask ^ low ^ element_bit in fam:
-            out |= low
-    return out
-
-
 def fundamental_graph(matroid: Matroid, basis: Subset, check: bool = True) -> Graph:
     """Bipartite loopless graph joining a basis element to the non-basis
-    elements whose fundamental circuit contains it.
+    elements whose fundamental circuit contains it.  A basis element b is
+    in the fundamental circuit of e iff the toggle by b and e is a basis.
 
     The support system of the result, pivoted on the basis, recovers the
     matroid; this is verified unless check is disabled.
     """
     b = matroid.ground.coerce(basis)
-    if b not in matroid.carrier.family:
+    bases = set(matroid.carrier.family)
+    if b not in bases:
         raise PreconditionError("the chosen subset is not a basis")
     n = matroid.n
     rows = [0] * n
@@ -393,14 +378,13 @@ def fundamental_graph(matroid: Matroid, basis: Subset, check: bool = True) -> Gr
         ebit = 1 << j
         if b & ebit:
             continue
-        support = fundamental_circuit_support(matroid, b, ebit)
-        s = support
+        s = b
         while s:
             low = s & -s
             s ^= low
-            i = low.bit_length() - 1
-            rows[i] |= ebit
-            rows[j] |= low
+            if b ^ low ^ ebit in bases:
+                rows[low.bit_length() - 1] |= ebit
+                rows[j] |= low
     graph = Graph(Gf2Matrix(matroid.ground, tuple(rows)))
     if check:
         recovered = graph_to_system(graph).pivot(b)

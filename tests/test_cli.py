@@ -24,6 +24,7 @@ from deltapoly.cli import (
     parse_document,
     parse_operation_word,
 )
+from deltapoly.delta import _exchange_axiom
 from support import (
     FIG_ORBIT,
     M0,
@@ -287,6 +288,26 @@ def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys, monkeypatch):
     path.write_text(canonical_json(emit_document(system)))
     assert main(["check", "vfclosed", "--cap", "1", "--input", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_cli_verify_checks_a_non_binary_input_once(tmp_path, capsys, monkeypatch):
+    # the criterion-04 counterexample on fresh labels, so no verdict is kept from elsewhere
+    labels = ["u1", "u2", "u3"]
+    system = SetSystem.from_sets(labels, [[a for a in labels if k >> labels.index(a) & 1] for k in range(1, 8)])
+    path = tmp_path / "every_nonempty.json"
+    path.write_text(canonical_json(emit_document(system)))
+    runs = []
+
+    def counting(s):
+        runs.append(s == system)
+        return _exchange_axiom(s)
+
+    monkeypatch.setattr("deltapoly.delta._exchange_axiom", counting)
+    assert main(["verify", "--input", str(path)]) == 0
+    assert sum(runs) == 1  # is_delta_matroid and is_vf_closed share one brute-force run
+    out = capsys.readouterr().out
+    assert "ok  q1 recursion vs direct" in out
+    assert "ok  input not vf-closed; Q1 three-term sum differs from the direct value" in out
 
 
 def test_cli_from_graph_and_verify(triangle_path, capsys):

@@ -50,7 +50,7 @@ LABELS3 = ["1", "2", "3"]
 NON_BINARY = [
     uniform_matroid(2, 4).carrier,
     uniform_matroid(2, 6).carrier,
-    powerset_system(LABELS3, include_empty=False),
+    powerset_system(["1", "2", "3", "4"], include_empty=False),
     # the criterion-04 counterexample: every nonempty subset
     SetSystem.from_sets(LABELS3, [list(c) for k in range(1, 4) for c in combinations(LABELS3, k)]),
 ]
@@ -192,6 +192,27 @@ def test_vf_closed_fast_path_matches_enumeration(delta_corpus, vf_corpus):
         assert is_delta_matroid(system) == exchange, system
         by_enumeration = exchange and _flip_images_are_delta_matroids(system, cap=100_000)
         assert is_vf_closed(system) == by_enumeration
+
+
+def test_each_verdict_is_computed_once_per_system(monkeypatch):
+    # fresh labels: no equal system is alive elsewhere with a kept verdict
+    system = powerset_system(["w1", "w2", "w3", "w4"], include_empty=False)
+    pivoted = system.pivot(system.family[0])
+    runs = {"round trip": 0, "brute force": 0}
+
+    def counting(name, fn, subject):
+        def counted(s):
+            runs[name] += s == subject
+            return fn(s)
+
+        return counted
+
+    monkeypatch.setattr("deltapoly.delta.system_to_graph", counting("round trip", system_to_graph, pivoted))
+    monkeypatch.setattr("deltapoly.delta._exchange_axiom", counting("brute force", _exchange_axiom, system))
+    closed = is_vf_closed(system)  # non-binary and not equicardinal: both steps run
+    assert is_delta_matroid(system) and is_vf_closed(system) == closed
+    assert runs == {"round trip": 1, "brute force": 1}
+    assert closed == _flip_images_are_delta_matroids(system, cap=100_000)
 
 
 def test_vf_closed_cap():

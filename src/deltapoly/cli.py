@@ -89,12 +89,19 @@ def parse_document(text: str):
     raise DocumentError(f"unknown document type {kind!r}")
 
 
+def _array(value, what: str) -> list:
+    """A list of the document; a string or an object would be read by its characters or keys."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def _parse_setsystem(doc) -> SetSystem:
-    labels, sets = doc["ground"], doc["sets"]
-    ground = GroundSet(tuple(labels))
+    ground = GroundSet(tuple(_array(doc["ground"], "ground")))
     bit = {lab: 1 << i for i, lab in enumerate(ground.labels)}
     masks: set[int] = set()
-    for s in sets:
+    for s in _array(doc["sets"], "sets"):
+        _array(s, "a set")
         try:
             # distinct bits add without a carry, so a repeated label loses a bit
             m = sum(map(bit.__getitem__, s))
@@ -111,22 +118,24 @@ def _parse_setsystem(doc) -> SetSystem:
 
 
 def _parse_graph(doc) -> Graph:
-    return Graph.from_edges(doc["vertices"], [tuple(e) for e in doc["edges"]], doc.get("loops", []))
+    edges = [tuple(_array(e, "an edge")) for e in _array(doc["edges"], "edges")]
+    return Graph.from_edges(_array(doc["vertices"], "vertices"), edges, _array(doc.get("loops", []), "loops"))
 
 
 def _parse_matrix(doc) -> Gf2Matrix:
-    return Gf2Matrix.from_rows(doc["labels"], doc["rows"])
+    return Gf2Matrix.from_rows(_array(doc["labels"], "labels"), doc["rows"])
 
 
 def _parse_matroid(doc) -> Matroid:
+    bases = [_array(b, "a basis") for b in _array(doc["bases"], "bases")]
     try:
-        return Matroid.from_bases(doc["ground"], doc["bases"])
+        return Matroid.from_bases(_array(doc["ground"], "ground"), bases)
     except PreconditionError as exc:
         raise DocumentError(f"not a matroid: {exc}") from exc
 
 
 def _parse_representation(doc) -> Representation:
-    return Representation.from_rows(doc["columns"], doc["rows"])
+    return Representation.from_rows(_array(doc["columns"], "columns"), doc["rows"])
 
 
 def emit_document(value) -> dict:

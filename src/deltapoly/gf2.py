@@ -46,6 +46,21 @@ def gf2_row_reduce(vectors: Iterable[int]) -> list[int]:
     return sorted(basis, key=lambda b: b & -b)
 
 
+def pack_rows(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
+    """0/1 entry lists to bitmask rows, entry j at bit j; only the integers 0 and 1 pass."""
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row length {len(row)} does not match the {ncols} columns")
+        if any(type(v) is not int or v not in (0, 1) for v in row):
+            raise ValueError(f"entries must be the integers 0 or 1, got {row!r}")
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+
+
+def unpack_rows(rows: Sequence[int], ncols: int) -> list[list[int]]:
+    """Inverse of pack_rows."""
+    return [[r >> j & 1 for j in range(ncols)] for r in rows]
+
+
 def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
     """Basis of {x : every row is orthogonal to x}, vectors over the columns."""
     reduced = gf2_row_reduce(rows)
@@ -82,18 +97,7 @@ class Gf2Matrix:
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence[int]]) -> "Gf2Matrix":
         ground = GroundSet(tuple(labels))
-        packed = []
-        for row in rows:
-            if len(row) != ground.n:
-                raise ValueError("matrix is not square")
-            m = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                if v:
-                    m |= 1 << j
-            packed.append(m)
-        return cls(ground, tuple(packed))
+        return cls(ground, pack_rows(rows, ground.n))
 
     @classmethod
     def zeros(cls, ground: GroundSet) -> "Gf2Matrix":
@@ -111,8 +115,7 @@ class Gf2Matrix:
         return self.rows[i] >> j & 1
 
     def to_lists(self) -> list[list[int]]:
-        n = self.n
-        return [[self.rows[i] >> j & 1 for j in range(n)] for i in range(n)]
+        return unpack_rows(self.rows, self.n)
 
     @property
     def is_symmetric(self) -> bool:
@@ -149,28 +152,15 @@ def det_nullity(matrix: Gf2Matrix, subset: Subset) -> tuple[int, int]:
 
 
 def _invert(rows: Sequence[int], k: int) -> Optional[list[int]]:
-    """Inverse of a k x k bitmask matrix by Gauss-Jordan, or None if singular."""
-    aug = [rows[i] | (1 << (k + i)) for i in range(k)]
-    pivots: list[int] = []
-    for col in range(k):
-        bit = 1 << col
-        pivot_row = None
-        for r in range(len(aug)):
-            if r in pivots:
-                continue
-            if aug[r] & bit:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return None
-        pivots.append(pivot_row)
-        for r in range(len(aug)):
-            if r != pivot_row and aug[r] & bit:
-                aug[r] ^= aug[pivot_row]
-    inv = [0] * k
-    for col, r in enumerate(pivots):
-        inv[col] = aug[r] >> k
-    return inv
+    """Inverse of a k x k bitmask matrix, or None if singular.
+
+    Row-reducing [A | I] reaches [I | A^-1] exactly when A is nonsingular.
+    """
+    low = (1 << k) - 1
+    reduced = gf2_row_reduce(rows[i] | 1 << (k + i) for i in range(k))
+    if any(r & low != 1 << j for j, r in enumerate(reduced)):
+        return None
+    return [r >> k for r in reduced]
 
 
 def _matmul(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:

@@ -17,9 +17,10 @@ from typing import Optional, Sequence
 from . import cube
 from .delta import is_delta_matroid
 from .errors import PreconditionError, size_guard
-from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce
+from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, pack_rows, unpack_rows
 from .graphs import Graph, graph_to_system
 from .interlace import UniPoly, poly_direct
+from .recursion import _recurse, q1_multiplicative_step
 from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit
 
 
@@ -144,18 +145,7 @@ class Representation:
     @classmethod
     def from_rows(cls, column_labels: Sequence[str], rows: Sequence[Sequence[int]]) -> "Representation":
         columns = GroundSet(tuple(column_labels))
-        packed = []
-        for row in rows:
-            if len(row) != columns.n:
-                raise ValueError("row length does not match the column count")
-            m = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                if v:
-                    m |= 1 << j
-            packed.append(m)
-        return cls(columns, tuple(packed))
+        return cls(columns, pack_rows(rows, columns.n))
 
     @property
     def ncols(self) -> int:
@@ -172,7 +162,7 @@ class Representation:
         return gf2_rank(self.rows)
 
     def to_lists(self) -> list[list[int]]:
-        return [[r >> j & 1 for j in range(self.ncols)] for r in self.rows]
+        return unpack_rows(self.rows, self.ncols)
 
 
 @dataclass(frozen=True)
@@ -254,26 +244,24 @@ def tutte(matroid: Matroid) -> BiPoly:
 
 
 def tutte_dc(matroid: Matroid) -> BiPoly:
-    """Deletion/contraction recursion, smallest-index element first.
+    """Deletion/contraction, smallest-index element first, on the recursion driver.
 
-    A loop (in no basis) contributes a factor y on the deletion; a coloop
-    (in every basis) a factor x on the contraction; otherwise the two
-    minors are summed.  The empty matroid evaluates to 1.
+    It is q1's multiplicative step with y and x for y + 1 (Brylawski &
+    Oxley 1992): a loop (in no basis) gives a factor y on the deletion, a
+    coloop (in every basis) x on the contraction, otherwise the two minors
+    are summed; the empty matroid is 1.  The memo keeps every minor.
     """
+    steps = {"loop": (BiPoly.y(), ("\\",)), "coloop": (BiPoly.x(), ("/",)), "additive": (None, ("\\", "/"))}
 
-    def go(system: SetSystem) -> BiPoly:
+    def rule(system: SetSystem):
         if system.ground.n == 0:
-            return BiPoly.const(1)
-        bit = 1
-        in_some = any(b & bit for b in system.family)
-        in_all = all(b & bit for b in system.family)
-        if not in_some:  # loop
-            return BiPoly.y() * go(system.delete(bit))
-        if in_all:  # coloop
-            return BiPoly.x() * go(system.pivot(bit).delete(bit))
-        return go(system.delete(bit)) + go(system.pivot(bit).delete(bit))
+            return None
+        case, _, minors = q1_multiplicative_step(system, 1)
+        factor, ops = steps[case]
+        label = system.ground.labels[0]
+        return label, factor, tuple((op + label, minor) for op, minor in zip(ops, minors))
 
-    return go(matroid.carrier)
+    return _recurse(matroid.carrier, rule, lambda n: BiPoly.const(1))[0]
 
 
 def tutte_diagonal_check(matroid: Matroid) -> tuple[UniPoly, UniPoly, bool]:

@@ -3,24 +3,30 @@
 Branching removes one ground element per step.  The element is the
 smallest-index one satisfying the branch condition (divisibility for q1,
 divisibility of the transformed system for q2/q3, strong divisibility
-for Q1); leaves carry closed-form values.  All of them run on one
-driver that takes the branch condition and minors as a rule and expands
-each distinct minor once.
+for Q1); leaves carry closed-form values.  All of them, and Tutte's
+deletion/contraction in ``matroids.tutte_dc``, run on one driver that
+takes the branch condition and minors as a rule and expands each
+distinct minor once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Literal, Optional, Union
 
 from .delta import divisible_by, is_delta_matroid, is_vf_closed, strongly_divisible_by
 from .errors import PreconditionError
 from .interlace import UniPoly, Which, poly_direct
 from .setsystem import Mask, SetSystem, full_flip_explicit
 
+if TYPE_CHECKING:
+    from .matroids import BiPoly
+
 CHECK_LIMIT = 8  # hypotheses are verified automatically up to this ground size
 
 Chooser = Literal["min", "max"]
+Poly = Union[UniPoly, "BiPoly"]  # BiPoly only in Tutte's deletion/contraction
 
 
 @dataclass(frozen=True)
@@ -33,19 +39,19 @@ class RecursionTrace:
     """
 
     system: SetSystem
-    value: UniPoly
+    value: Poly
     element: Optional[str] = None
     branches: tuple[tuple[str, "RecursionTrace"], ...] = ()
-    factor: Optional[UniPoly] = None
+    factor: Optional[Poly] = None
 
     @property
     def is_leaf(self) -> bool:
         return not self.branches
 
-    def leaf_values(self) -> list[UniPoly]:
+    def leaf_values(self) -> list[Poly]:
         if self.is_leaf:
             return [self.value]
-        out: list[UniPoly] = []
+        out: list[Poly] = []
         for _, child in self.branches:
             out.extend(child.leaf_values())
         return out
@@ -72,22 +78,21 @@ def _should_check(system: SetSystem, checked: Optional[bool]) -> bool:
 
 # A branch rule maps a system to None (a leaf) or to the branching element's
 # label, an optional factor and the (operation label, minor) branches.
-Branch = tuple[str, Optional[UniPoly], tuple[tuple[str, SetSystem], ...]]
+Branch = tuple[str, Optional[Poly], tuple[tuple[str, SetSystem], ...]]
 Rule = Callable[[SetSystem], Optional[Branch]]
 
 
-def _node(system: SetSystem, element: str, branches, factor: Optional[UniPoly] = None) -> RecursionTrace:
+def _node(system: SetSystem, element: str, branches, factor: Optional[Poly] = None) -> RecursionTrace:
     """Internal node whose value is the sum of its children, times the factor."""
-    value = UniPoly.zero()
-    for _, child in branches:
-        value = value + child.value
+    values = [child.value for _, child in branches]
+    value = sum(values[1:], values[0])
     if factor is not None:
         value = factor * value
     return RecursionTrace(system, value, element, tuple(branches), factor)
 
 
-def _recurse(system: SetSystem, rule: Rule, leaf_shift: int) -> tuple[UniPoly, RecursionTrace]:
-    """Expand the rule down to (y + leaf_shift)^n leaves.
+def _recurse(system: SetSystem, rule: Rule, leaf: Callable[[int], Poly]) -> tuple[Poly, RecursionTrace]:
+    """Expand the rule down to leaves valued leaf(n) on n ground elements.
 
     Every minor is expanded once: a repeated minor shares the subtree of
     its first expansion, which the frozen trace makes safe.
@@ -100,7 +105,7 @@ def _recurse(system: SetSystem, rule: Rule, leaf_shift: int) -> tuple[UniPoly, R
         if trace is None:
             branch = rule(m)
             if branch is None:
-                trace = RecursionTrace(m, UniPoly.binomial_power(leaf_shift, m.ground.n))
+                trace = RecursionTrace(m, leaf(m.ground.n))
             else:
                 element, factor, parts = branch
                 trace = _node(m, element, [(op, go(child)) for op, child in parts], factor)
@@ -156,7 +161,7 @@ def q1_recursive(
         ops = {"loop": (deletion,), "coloop": (pivot_deletion,), "additive": (deletion, pivot_deletion)}[case]
         return label, factor, tuple(zip(ops, parts))
 
-    return _recurse(system, multiplicative if use_multiplicative else plain, 1)
+    return _recurse(system, multiplicative if use_multiplicative else plain, partial(UniPoly.binomial_power, 1))
 
 
 def q1_multiplicative_step(system: SetSystem, element) -> tuple[str, Optional[UniPoly], tuple[SetSystem, ...]]:
@@ -217,7 +222,7 @@ def q2_q3_recursive(
             return label, None, (pivoted, dual)
         return label, None, (dual, (f"\\{label}", m.delete(bit)))
 
-    return _recurse(system, rule, 1)
+    return _recurse(system, rule, partial(UniPoly.binomial_power, 1))
 
 
 def Q1_recursive(
@@ -247,7 +252,7 @@ def Q1_recursive(
             (f"~*{label}\\{label}", m.dual_pivot(bit).delete(bit)),
         )
 
-    return _recurse(system, rule, 2)
+    return _recurse(system, rule, partial(UniPoly.binomial_power, 2))
 
 
 def q1_normal_step(

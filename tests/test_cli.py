@@ -81,6 +81,30 @@ def test_parse_document_errors():
         parse_document(
             json.dumps({"type": "matroid", "ground": ["a", "b"], "bases": [["a"], ["a", "b"]]})
         )
+    # a label list given as a string or an object would be read by its characters or keys
+    for doc in (
+        {"type": "setsystem", "ground": "ab", "sets": [[]]},
+        {"type": "setsystem", "ground": {"a": 1, "b": 2}, "sets": [[]]},
+        {"type": "setsystem", "ground": ["a", "b"], "sets": "ab"},
+        {"type": "graph", "vertices": "ab", "edges": []},
+        {"type": "graph", "vertices": ["a", "b"], "edges": ["ab"]},
+        {"type": "graph", "vertices": ["a", "b"], "edges": [{"a": 1, "b": 2}]},
+        {"type": "graph", "vertices": ["a", "b"], "edges": [], "loops": "a"},
+        {"type": "matrix", "labels": "ab", "rows": [[0, 0], [0, 0]]},
+        {"type": "matroid", "ground": "12", "bases": [["1"]]},
+        {"type": "matroid", "ground": ["1", "2"], "bases": ["12"]},
+        {"type": "representation", "columns": "12", "rows": [[1, 1]]},
+    ):
+        with pytest.raises(DocumentError, match="must be a JSON array"):
+            parse_document(json.dumps(doc))
+    # matrix entries are the integers 0 and 1, not JSON booleans or floats
+    for rows in ([[True, False], [False, True]], [[1.0, 0], [0, 1]]):
+        for doc in (
+            {"type": "matrix", "labels": ["a", "b"], "rows": rows},
+            {"type": "representation", "columns": ["a", "b"], "rows": rows},
+        ):
+            with pytest.raises(DocumentError, match="entries must be the integers 0 or 1"):
+                parse_document(json.dumps(doc))
 
 
 @pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 16, 17, 20))
@@ -103,12 +127,17 @@ def test_cli_setsystem_parse_errors(tmp_path, capsys):
         ([["a"], ["a", "b", "a"]], "error: set ['a', 'b', 'a'] repeats an element"),
         ([["a", "b"], [], ["b", "a"]], "error: duplicate set ['b', 'a']"),
         ([["a"], ["b", "z"]], "error: element 'z' not in ground set ('a', 'b')"),
+        (["ab", []], "error: a set must be a JSON array, got 'ab'"),
+        ([{"a": 1}], "error: a set must be a JSON array, got {'a': 1}"),
     )
     path = tmp_path / "bad.json"
     for sets, message in cases:
         path.write_text(json.dumps({"type": "setsystem", "ground": ["a", "b"], "sets": sets}))
         assert main(["validate", "--input", str(path)]) == 2
         assert capsys.readouterr().err.strip() == message
+    path.write_text(json.dumps({"type": "setsystem", "ground": "ab", "sets": [[]]}))
+    assert main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == "error: ground must be a JSON array, got 'ab'"
 
 
 def test_parse_operation_word():

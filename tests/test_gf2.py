@@ -70,6 +70,8 @@ def test_matrix_construction_validation():
         Gf2Matrix.from_rows(["a", "b"], [[1, 0]])
     with pytest.raises(ValueError):
         Gf2Matrix.from_rows(["a"], [[2]])
+    with pytest.raises(ValueError):
+        Gf2Matrix.from_rows(["a"], [[True]])
 
 
 def test_support_set_system_examples():

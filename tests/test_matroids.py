@@ -37,6 +37,7 @@ from support import (
     graphic_matroid,
     random_binary_matroids,
     random_representation,
+    simple_representation,
     uniform_tutte,
 )
 
@@ -176,6 +177,7 @@ def test_tutte_dc_matches_rank_sum():
     rng = random.Random(100)
     corpus = matroid_corpus() + [uniform_matroid(n // 2, n) for n in range(8, 15)]
     corpus += [binary_matroid_from_matrix(random_representation(rng, 12, min_cols=10)) for _ in range(6)]
+    corpus.append(binary_matroid_from_matrix(simple_representation(random.Random(16), 16, 8)))
     for matroid in corpus:
         assert tutte(matroid) == tutte_dc(matroid), matroid.carrier
 
@@ -194,6 +196,50 @@ def test_tutte_size_guard():
         assert tutte(u121) == uniform_tutte(1, 21)
     with pytest.raises(SizeGuardError):
         tutte(u121)
+
+
+def _first_element_minors(system):
+    """Receivers of the delete calls that expand, once each, the distinct
+    (labels, family) minors with elements left that deletion and contraction
+    of the first element reach."""
+    seen, todo, receivers = set(), [system], []
+    while todo:
+        m = todo.pop()
+        key = (m.ground.labels, m.family)
+        if m.ground.n == 0 or key in seen:
+            continue
+        seen.add(key)
+        with_first = [b for b in m.family if b & 1]
+        parts = []
+        if len(with_first) < len(m.family):  # not a coloop: delete
+            parts.append(m)
+        if with_first:  # not a loop: contract
+            parts.append(m.pivot(1))
+        receivers += [(p.ground.labels, p.family) for p in parts]
+        todo += [p.delete(1) for p in parts]
+    return receivers
+
+
+@pytest.mark.parametrize(
+    "matroid",
+    (uniform_matroid(3, 6), binary_matroid_from_matrix(simple_representation(random.Random(5), 10, 5))),
+    ids=("U(3,6)", "binary 10x5"),
+)
+def test_tutte_dc_expands_each_distinct_minor_once(matroid, monkeypatch):
+    calls = []
+    delete = SetSystem.delete
+
+    def counted(self, subset):
+        calls.append((self.ground.labels, self.family))
+        return delete(self, subset)
+
+    monkeypatch.setattr(SetSystem, "delete", counted)
+    value = tutte_dc(matroid)
+    monkeypatch.undo()
+    # one or two delete calls per distinct minor; U(3,5)/2 and U(2,5)\2 are one
+    # minor of U(3,6), which a recursion without a memo expands twice
+    assert sorted(calls) == sorted(_first_element_minors(matroid.carrier))
+    assert value == tutte(matroid)
 
 
 def test_tutte_dc_base_case():

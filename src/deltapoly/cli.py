@@ -18,7 +18,6 @@ from typing import Any
 
 from .delta import DivisibilityStatus, divisibility, is_delta_matroid, is_even, is_vf_closed
 from .errors import (
-    CapExceededError,
     DeltaPolyError,
     DocumentError,
     GroundSetError,
@@ -49,13 +48,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 
-MATH_ERRORS = (
-    ImproperSystemError,
-    PivotUndefinedError,
-    NotAGraphError,
-    PreconditionError,
-    CapExceededError,
-)
+MATH_ERRORS = (ImproperSystemError, PivotUndefinedError, NotAGraphError, PreconditionError)
 INPUT_ERRORS = (DocumentError, GroundSetError, SizeGuardError)
 
 
@@ -73,7 +66,7 @@ def parse_document(text: str):
     kind = doc["type"]
     try:
         if kind == "setsystem":
-            return _parse_setsystem(doc)
+            return _parse_family(doc, "sets", "set")
         if kind == "graph":
             return _parse_graph(doc)
         if kind == "matrix":
@@ -96,12 +89,13 @@ def _array(value, what: str) -> list:
     return value
 
 
-def _parse_setsystem(doc) -> SetSystem:
+def _parse_family(doc, key: str, noun: str) -> SetSystem:
+    """Ground and label lists under ``key``; a repeated list or a repeated or unknown label is refused."""
     ground = GroundSet(tuple(_array(doc["ground"], "ground")))
     bit = {lab: 1 << i for i, lab in enumerate(ground.labels)}
     masks: set[int] = set()
-    for s in _array(doc["sets"], "sets"):
-        _array(s, "a set")
+    for s in _array(doc[key], key):
+        _array(s, f"a {noun}")
         try:
             # distinct bits add without a carry, so a repeated label loses a bit
             m = sum(map(bit.__getitem__, s))
@@ -110,9 +104,9 @@ def _parse_setsystem(doc) -> SetSystem:
                 ground.index(lab)  # raises GroundSetError for the unknown label
             raise
         if m.bit_count() != len(s):
-            raise DocumentError(f"set {s} repeats an element")
+            raise DocumentError(f"{noun} {s} repeats an element")
         if m in masks:
-            raise DocumentError(f"duplicate set {s}")
+            raise DocumentError(f"duplicate {noun} {s}")
         masks.add(m)
     return SetSystem(ground, tuple(sorted(masks)))
 
@@ -127,9 +121,9 @@ def _parse_matrix(doc) -> Gf2Matrix:
 
 
 def _parse_matroid(doc) -> Matroid:
-    bases = [_array(b, "a basis") for b in _array(doc["bases"], "bases")]
+    carrier = _parse_family(doc, "bases", "basis")
     try:
-        return Matroid.from_bases(_array(doc["ground"], "ground"), bases)
+        return Matroid(carrier)
     except PreconditionError as exc:
         raise DocumentError(f"not a matroid: {exc}") from exc
 
@@ -320,7 +314,7 @@ def cmd_check(args) -> int:
     elif args.predicate == "even":
         result = is_even(system)
     elif args.predicate == "vfclosed":
-        result = is_vf_closed(system, cap=args.cap)
+        result = is_vf_closed(system)
     elif args.predicate == "divisible":
         if not args.element:
             raise DocumentError("check divisible needs --element")
@@ -335,7 +329,7 @@ def cmd_check(args) -> int:
 def cmd_orbit(args) -> int:
     system = _as_setsystem(parse_document(_read_input(args.input)))
     gen = "fullV-alternation" if args.generators == "fullv" else "all-single-element-flips"
-    systems = vf_orbit(system, gen, cap=args.cap)
+    systems = vf_orbit(system, gen)
     docs = [emit_document(s) for s in systems]
     sys.stdout.write(canonical_json(docs))
     return EXIT_OK
@@ -521,13 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("predicate", choices=("dm", "even", "vfclosed", "divisible"))
     p.add_argument("--element")
-    p.add_argument("--cap", type=int, default=100_000)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("orbit", help="vertex-flip orbit of a set system")
     common(p)
     p.add_argument("--generators", choices=("fullv", "single"), default="fullv")
-    p.add_argument("--cap", type=int, default=100_000)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("tree", help="recursive computation tree")

@@ -7,7 +7,7 @@ import weakref
 from dataclasses import dataclass
 
 from . import cube, errors
-from .errors import CapExceededError, NotAGraphError
+from .errors import NotAGraphError, size_guard
 from .graphs import system_to_graph
 from .setsystem import SetSystem, distance
 
@@ -77,11 +77,15 @@ def _is_binary(system: SetSystem) -> bool:
 
 
 def _exchange_axiom(system: SetSystem) -> bool:
-    """The exchange axiom by brute force over ordered member pairs, O(|F|^2 n^2)."""
-    fam = set(system.family)
-    if not fam:
-        return False
+    """The exchange axiom by brute force over ordered member pairs, O(|F|^2 n^2).
+
+    The |F|^2 ordered pairs are its table for ``size_guard``.
+    """
     members = system.family
+    if not members:
+        return False
+    size_guard(len(members) ** 2, "exchange axiom over ordered member pairs")
+    fam = set(members)
     for x in members:
         for y in members:
             diff = x ^ y
@@ -157,7 +161,7 @@ def strongly_divisible_by(system: SetSystem, bit: int) -> bool:
     return any(m ^ bit not in fam for m in system.family)
 
 
-def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
+def is_vf_closed(system: SetSystem) -> bool:
     """Every image of the system under vertex-flip sequences is a delta-matroid.
 
     The system must be proper (ImproperSystemError otherwise) and is
@@ -165,24 +169,26 @@ def is_vf_closed(system: SetSystem, cap: int = 100_000) -> bool:
     vf-safe (``_is_binary``; on a non-equicardinal input
     ``is_delta_matroid`` has already kept that verdict); for any other,
     every flip image must be a delta-matroid (see
-    ``_flip_images_are_delta_matroids``): at most 3^n images, and more
-    than ``cap`` distinct ones raise CapExceededError.
+    ``_flip_images_are_delta_matroids``).
     """
     system.require_proper()
     if not is_delta_matroid(system):
         return False
-    return _is_binary(system) or _flip_images_are_delta_matroids(system, cap)
+    return _is_binary(system) or _flip_images_are_delta_matroids(system)
 
 
-def _flip_images_are_delta_matroids(system: SetSystem, cap: int) -> bool:
+def _flip_images_are_delta_matroids(system: SetSystem) -> bool:
     """Exchange check on every vertex-flip image other than the system itself.
 
     Enumeration is cut down by pivot invariance of the exchange axiom: any
     flip word factors per element into a coset representative in
     {identity, loopc, dual pivot} followed by a pivot, so it suffices to
     check the images under disjoint loopc/dual-pivot element choices
-    (at most 3^n systems after dedup).
+    (at most 3^n systems after dedup).  The members of every family held,
+    the input's included, count against ``size_guard``.
     """
+    what = f"vf-closure flip images at n={system.ground.n}"
+    held = len(system.family)
     seen = {system.family}
     frontier = [system]
     for i in range(system.ground.n):
@@ -192,9 +198,9 @@ def _flip_images_are_delta_matroids(system: SetSystem, cap: int) -> bool:
             for image in (s.loopc(bit), s.dual_pivot(bit)):
                 if image.family in seen:
                     continue
+                held += len(image.family)
+                size_guard(held, what)
                 seen.add(image.family)
-                if len(seen) > cap:
-                    raise CapExceededError(f"vf-closure enumeration exceeded cap {cap}")
                 if not _exchange_axiom(image):
                     return False
                 new_frontier.append(image)

@@ -17,10 +17,6 @@ class ImproperSystemError(DeltaPolyError):
     """An operation that needs a nonempty family was given an empty one."""
 
 
-class CapExceededError(DeltaPolyError):
-    """An enumeration grew past its configured cap."""
-
-
 class PivotUndefinedError(DeltaPolyError):
     """The principal submatrix is singular, so the pivot does not exist."""
 
@@ -37,7 +33,9 @@ class SizeGuardError(DeltaPolyError):
     """The instance exceeds the cell limit; run it inside deltapoly.forced() (CLI: --force)."""
 
 
-MAX_CELLS = 1 << 20  # largest table an unforced call builds: 2^n subsets or 3^n pairs Z in X
+# largest table an unforced call builds: 2^n subsets, 3^n pairs Z in X, the
+# members an enumeration holds, or the ordered member pairs of an exchange check
+MAX_CELLS = 1 << 20
 
 _FORCED: ContextVar[bool] = ContextVar("deltapoly_forced", default=False)
 

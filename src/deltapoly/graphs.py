@@ -140,8 +140,6 @@ def graph_flip(graph: Graph, kind, subset: Subset) -> Graph:
     if kind == "loopc":
         return Graph(graph.matrix.with_toggled_diagonal(x))
     if kind == "pivot":
-        if det_nullity(graph.matrix, x)[0] != 1:
-            raise PivotUndefinedError("graph pivot needs a nonsingular principal submatrix")
         return Graph(ppt(graph.matrix, x))
     if kind == "dualpivot":
         out = graph
@@ -225,6 +223,7 @@ def marked_bracket(graph: Graph, marked_complement: Subset) -> UniPoly:
     support system, which tests use as the oracle.
     """
     c = graph.ground.coerce(marked_complement)
+    size_guard(1 << graph.n, f"marked bracket at n={graph.n}")
     return _nullity_histogram(graph.matrix, ((x, (x | c,)) for x in range(1 << graph.n)))
 
 

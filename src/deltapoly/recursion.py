@@ -229,7 +229,6 @@ def Q1_recursive(
     system: SetSystem,
     checked: Optional[bool] = None,
     chooser: Chooser = "min",
-    cap: int = 100_000,
 ) -> tuple[UniPoly, RecursionTrace]:
     """Three-way recursion for Q1 on vf-closed delta-matroids.
 
@@ -238,7 +237,7 @@ def Q1_recursive(
     the summation formula (see recursion_consistency).
     """
     system.require_proper()
-    if _should_check(system, checked) and not is_vf_closed(system, cap=cap):
+    if _should_check(system, checked) and not is_vf_closed(system):
         raise PreconditionError("Q1 recursion needs a vf-closed delta-matroid input")
 
     def rule(m: SetSystem) -> Optional[Branch]:

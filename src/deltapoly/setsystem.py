@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from . import cube
-from .errors import CapExceededError, GroundSetError, ImproperSystemError, size_guard
+from .errors import GroundSetError, ImproperSystemError, size_guard
 
 MAX_GROUND = 62  # subsets must fit a single machine-word-sized bitmask
 
@@ -340,29 +340,28 @@ def distance(system: SetSystem, subset: Subset = 0) -> int:
 OrbitGenerators = Literal["fullV-alternation", "all-single-element-flips"]
 
 
-def vf_orbit(system: SetSystem, generators: OrbitGenerators, cap: int = 100_000) -> list[SetSystem]:
+def vf_orbit(system: SetSystem, generators: OrbitGenerators) -> list[SetSystem]:
     """Closure of a system under the chosen flip generators, canonical dedup.
 
-    fullV-alternation walks +V, *V, +V, ... until the walk returns to the
-    start; all-single-element-flips is a BFS closure under every single
-    element pivot and loop complementation.
+    fullV-alternation walks +V, *V, +V, ... for six flips: per element
+    loopc and pivot generate S3, where their product has order 3, so the
+    walk is back at its start.  all-single-element-flips is a BFS closure
+    under every single element pivot and loop complementation; the
+    members of every family it holds, the input's included, count
+    against ``size_guard``.
     """
     system.require_proper()
     if generators == "fullV-alternation":
-        seen: list[SetSystem] = [system]
+        orbit = [system]
         cur = system
-        steps = 0
-        while True:
-            kind: FlipKind = "loopc" if steps % 2 == 0 else "pivot"
+        for kind in ("loopc", "pivot") * 3:
             cur = full_flip_explicit(cur, kind)
-            steps += 1
-            if cur == system and steps % 2 == 0:
-                return seen
-            if cur not in seen:
-                seen.append(cur)
-            if len(seen) > cap or steps > 2 * cap:
-                raise CapExceededError(f"orbit exceeded cap {cap}")
+            if cur not in orbit:
+                orbit.append(cur)
+        return orbit
     if generators == "all-single-element-flips":
+        what = f"single-flip orbit at n={system.ground.n}"
+        held = len(system.family)
         order: list[SetSystem] = [system]
         visited = {system.family}
         queue = deque([system])
@@ -372,11 +371,11 @@ def vf_orbit(system: SetSystem, generators: OrbitGenerators, cap: int = 100_000)
             for bit in bits:
                 for nxt in (cur.pivot(bit), cur._loopc_single(bit)):
                     if nxt.family not in visited:
+                        held += len(nxt.family)
+                        size_guard(held, what)
                         visited.add(nxt.family)
                         order.append(nxt)
                         queue.append(nxt)
-                        if len(order) > cap:
-                            raise CapExceededError(f"orbit exceeded cap {cap}")
         return order
     raise ValueError(f"unknown generator choice {generators!r}")
 

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from deltapoly import (
+    DeltaPolyError,
     DocumentError,
+    GroundSetError,
     Q1_recursive,
     SetSystem,
     binary_matroid_from_matrix,
@@ -15,8 +17,11 @@ from deltapoly import (
     poly_direct,
     q1_recursive,
     q2_q3_recursive,
+    uniform_matroid,
 )
 from deltapoly.cli import (
+    INPUT_ERRORS,
+    MATH_ERRORS,
     apply_operation_word,
     canonical_json,
     emit_document,
@@ -81,6 +86,14 @@ def test_parse_document_errors():
         parse_document(
             json.dumps({"type": "matroid", "ground": ["a", "b"], "bases": [["a"], ["a", "b"]]})
         )
+    # bases are read like sets: a repeated basis or label and an unknown label are refused
+    for bases, error, message in (
+        ([["1", "2"], ["1", "2"], ["2", "3"]], DocumentError, r"duplicate basis \['1', '2'\]"),
+        ([["1", "2"], ["1", "1"]], DocumentError, r"basis \['1', '1'\] repeats an element"),
+        ([["1", "2"], ["1", "4"]], GroundSetError, "element '4' not in ground set"),
+    ):
+        with pytest.raises(error, match=message):
+            parse_document(json.dumps({"type": "matroid", "ground": ["1", "2", "3"], "bases": bases}))
     # a label list given as a string or an object would be read by its characters or keys
     for doc in (
         {"type": "setsystem", "ground": "ab", "sets": [[]]},
@@ -315,8 +328,37 @@ def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys, monkeypatch):
     system = twisted_graph_systems(seed=10, count=1, n_min=10, n_max=10)[0]
     path = tmp_path / "twisted10.json"
     path.write_text(canonical_json(emit_document(system)))
-    assert main(["check", "vfclosed", "--cap", "1", "--input", str(path)]) == 0
+
+    def no_images(s):
+        raise AssertionError("a binary input enumerated its flip images")
+
+    monkeypatch.setattr("deltapoly.delta._flip_images_are_delta_matroids", no_images)
+    assert main(["check", "vfclosed", "--input", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_cli_enumeration_refusal_exits_2(tmp_path, capsys, monkeypatch):
+    # U(2,4) is not binary: its 80 flip images hold 800 members, the input's 6 included
+    path = tmp_path / "u24.json"
+    path.write_text(canonical_json(emit_document(uniform_matroid(2, 4).carrier)))
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 200)
+    assert main(["check", "vfclosed", "--input", str(path)]) == 2
+    assert "vf-closure flip images at n=4 needs" in capsys.readouterr().err
+    assert main(["check", "vfclosed", "--force", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["orbit", "--generators", "single", "--input", str(path)]) == 2
+    assert "single-flip orbit at n=4 needs" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_library_error_has_one_exit_code():
+    for cls in _subclasses(DeltaPolyError):
+        assert (cls in MATH_ERRORS) + (cls in INPUT_ERRORS) == 1, cls
 
 
 def test_cli_verify_checks_a_non_binary_input_once(tmp_path, capsys, monkeypatch):

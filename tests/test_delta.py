@@ -8,16 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltapoly import (
-    CapExceededError,
     DivisibilityStatus,
     Gf2Matrix,
     GroundSet,
     ImproperSystemError,
     NotAGraphError,
     SetSystem,
+    SizeGuardError,
     distance,
     distance_triple,
     divisibility,
+    forced,
     is_delta_matroid,
     is_even,
     is_vf_closed,
@@ -27,7 +28,6 @@ from deltapoly import (
     vf_orbit,
 )
 from deltapoly.delta import _exchange_axiom, _flip_images_are_delta_matroids
-from deltapoly.errors import MAX_CELLS
 from support import M0, random_graphs, random_set_system, twisted_graph_systems
 from deltapoly import graph_to_system
 
@@ -138,7 +138,7 @@ def test_strong_divisibility_orbit_characterization():
         strong = any(
             divisibility(system, 1 << i).strongly_divisible for i in range(system.ground.n)
         )
-        orbit = vf_orbit(system, "all-single-element-flips", cap=100_000)
+        orbit = vf_orbit(system, "all-single-element-flips")
         assert strong == all(len(s) >= 2 for s in orbit)
         if not strong:
             # some image collapses to the single empty member
@@ -155,7 +155,7 @@ def test_vf_closed_fixtures():
 
 def vf_closed_by_orbit(system):
     """Definition-level oracle: every member of the single-flip orbit is a delta-matroid."""
-    orbit = vf_orbit(system, "all-single-element-flips", cap=100_000)
+    orbit = vf_orbit(system, "all-single-element-flips")
     return all(is_delta_matroid(s) for s in orbit)
 
 
@@ -167,7 +167,7 @@ def test_vf_closed_matches_bruteforce_orbit():
     # binary inputs take the fast path; the enumeration must agree on them
     for system in twisted_graph_systems(seed=27, count=6, n_min=4, n_max=5):
         assert is_vf_closed(system) and vf_closed_by_orbit(system)
-        assert _flip_images_are_delta_matroids(system, cap=100_000)
+        assert _flip_images_are_delta_matroids(system)
     # non-binary fixtures: no graph round trip, so the enumeration decides
     labels = ["1", "2", "3"]
     cex = SetSystem.from_sets(labels, [list(c) for k in range(1, 4) for c in combinations(labels, k)])
@@ -190,7 +190,7 @@ def test_vf_closed_fast_path_matches_enumeration(delta_corpus, vf_corpus):
     for system in delta_corpus + [s for s in vf_corpus if s.n <= 5]:
         exchange = _exchange_axiom(system)
         assert is_delta_matroid(system) == exchange, system
-        by_enumeration = exchange and _flip_images_are_delta_matroids(system, cap=100_000)
+        by_enumeration = exchange and _flip_images_are_delta_matroids(system)
         assert is_vf_closed(system) == by_enumeration
 
 
@@ -212,19 +212,27 @@ def test_each_verdict_is_computed_once_per_system(monkeypatch):
     closed = is_vf_closed(system)  # non-binary and not equicardinal: both steps run
     assert is_delta_matroid(system) and is_vf_closed(system) == closed
     assert runs == {"round trip": 1, "brute force": 1}
-    assert closed == _flip_images_are_delta_matroids(system, cap=100_000)
+    assert closed == _flip_images_are_delta_matroids(system)
 
 
-def test_vf_closed_cap():
+def test_vf_closed_cell_limit(monkeypatch):
+    # a binary input enumerates no image; a small MAX_CELLS would switch the certificate off too
     twisted = twisted_graph_systems(seed=10, count=1, n_min=10, n_max=10)[0]
     assert not twisted.is_normal
-    assert is_vf_closed(twisted, cap=1)  # no image was enumerated
-    with pytest.raises(CapExceededError):
-        is_vf_closed(uniform_matroid(2, 4).carrier, cap=1)
-    # above the cell limit the fast path is skipped, not refused
-    labels = tuple(f"x{i}" for i in range(MAX_CELLS.bit_length()))
-    with pytest.raises(CapExceededError):
-        is_vf_closed(SetSystem(GroundSet(labels), (0,)), cap=50)
+
+    def no_images(system):
+        raise AssertionError("a binary input enumerated its flip images")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("deltapoly.delta._flip_images_are_delta_matroids", no_images)
+        assert is_vf_closed(twisted)
+    # U(2,4) is not binary: 80 images of at most 11 members, 800 members held with the input's 6
+    u24 = uniform_matroid(2, 4).carrier
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 200)
+    with pytest.raises(SizeGuardError, match="flip images at n=4 needs 204 cells, over the limit of 200;"):
+        is_vf_closed(u24)
+    with forced():
+        assert is_vf_closed(u24)
 
 
 def test_delta_matroids_closed_under_pivot_and_deletion(delta_corpus):

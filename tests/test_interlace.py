@@ -23,7 +23,9 @@ from deltapoly import (
     fundamental_graph,
     graph_poly,
     graph_to_system,
+    is_delta_matroid,
     is_even,
+    marked_bracket,
     multivariate_Q,
     permute_Q_under_flip,
     poly_direct,
@@ -139,6 +141,11 @@ def test_size_guard(monkeypatch):
         "fundamental graph": lambda: fundamental_graph(triangle, triangle.bases()[0]),
         "graph to system": lambda: graph_to_system(graph),
         "Q1 consistency": lambda: recursion_consistency(M0, "Q1"),
+        "marked bracket": lambda: marked_bracket(graph, "p"),
+        # not binary, so the brute force decides; built per call, so no kept verdict answers it
+        "exchange axiom": lambda: is_delta_matroid(
+            SetSystem.from_sets(["p", "q", "r"], [[], ["p"], ["q"], ["r"], ["p", "q", "r"]])
+        ),
     }
     for which in ("Q1", "q1", "q2", "q3"):
         calls[f"direct {which}"] = lambda which=which: poly_direct(M0, which)
@@ -155,13 +162,14 @@ def test_size_guard(monkeypatch):
 
 
 def test_cell_limit_override_is_one_scope():
-    # forced() is the only way past the cell limit: no public callable takes a force flag
+    # forced() is the only way past the cell limit: no public callable takes a force flag or a cap
     for name in deltapoly.__all__:
         obj = getattr(deltapoly, name)
         for member in [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]:
             member = getattr(member, "__func__", member)  # unwrap classmethods
             if inspect.isfunction(member):
-                assert "force" not in inspect.signature(member).parameters, (name, member)
+                parameters = inspect.signature(member).parameters
+                assert "force" not in parameters and "cap" not in parameters, (name, member)
     assert list(inspect.signature(size_guard).parameters) == ["cells", "what"]
     package = pathlib.Path(deltapoly.__file__).parent
     raises = [

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltapoly import (
-    CapExceededError,
     GroundSet,
     GroundSetError,
     ImproperSystemError,
     SetSystem,
+    SizeGuardError,
     VertexFlipWord,
     apply_vertex_flip,
     distance,
+    forced,
     full_flip_explicit,
     graph_to_system,
     restrict_delete,
@@ -275,17 +276,23 @@ def test_orbit_full_alternation_matches_figure():
     assert cur == M0
 
 
-def test_orbit_trivial_and_caps():
+def test_orbit_trivial_and_cell_limit(monkeypatch):
     one = SetSystem.from_sets([], [[]])
     assert vf_orbit(one, "fullV-alternation") == [one]
-    with pytest.raises(CapExceededError):
-        vf_orbit(M0, "all-single-element-flips", cap=3)
+    orbit = vf_orbit(M0, "all-single-element-flips")
+    # 54 systems hold 256 members, the input's 5 included
+    assert len(orbit) == 54 and sum(len(s) for s in orbit) == 256
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 255)
+    with pytest.raises(SizeGuardError, match="orbit at n=3 needs 256 cells, over the limit of 255;"):
+        vf_orbit(M0, "all-single-element-flips")
+    with forced():
+        assert vf_orbit(M0, "all-single-element-flips") == orbit
 
 
 def test_orbit_single_flips_closed():
     from deltapoly import is_delta_matroid
 
-    orbit = vf_orbit(M0, "all-single-element-flips", cap=100_000)
+    orbit = vf_orbit(M0, "all-single-element-flips")
     fams = {s.family for s in orbit}
     for s in orbit:
         for i in range(3):

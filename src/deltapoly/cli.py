@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import re
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .delta import DivisibilityStatus, divisibility, is_delta_matroid, is_even, is_vf_closed
@@ -41,7 +43,7 @@ from .matroids import (
     tutte,
     tutte_dc,
 )
-from .recursion import Q1_recursive, q1_recursive, q2_q3_recursive
+from .recursion import Q1_recursive, RecursionTrace, q1_recursive, q2_q3_recursive
 from .setsystem import GroundSet, SetSystem, apply_vertex_flip, full_flip_explicit, vf_orbit
 
 EXIT_OK = 0
@@ -90,14 +92,36 @@ def _array(value, what: str) -> list:
 
 
 def _parse_family(doc, key: str, noun: str) -> SetSystem:
-    """Ground and label lists under ``key``; a repeated list or a repeated or unknown label is refused."""
+    """Ground and label lists under ``key``; a repeated list or a repeated or unknown label is refused.
+
+    All masks are built at once and checked together; only a family that
+    fails a check is walked again set by set, to name its first bad set.
+    """
     ground = GroundSet(tuple(_array(doc["ground"], "ground")))
     bit = {lab: 1 << i for i, lab in enumerate(ground.labels)}
+    sets = _array(doc[key], key)
+    try:
+        masks = [sum(map(bit.__getitem__, s)) for s in sets]
+    except (KeyError, TypeError):
+        masks = []
+    # distinct bits add without a carry, so a repeated label loses a bit; no set
+    # gains one, so the totals are equal only if every set keeps all of its bits
+    if (
+        len(masks) != len(sets)
+        or not {list}.issuperset(map(type, sets))
+        or sum(map(int.bit_count, masks)) != sum(map(len, sets))
+        or len(set(masks)) != len(masks)
+    ):
+        _refuse_first_bad_set(ground, bit, sets, noun)
+    return SetSystem(ground, tuple(sorted(masks)))
+
+
+def _refuse_first_bad_set(ground: GroundSet, bit: dict, sets: list, noun: str) -> None:
+    """Raise the error of the first set that is not a list, or repeats or does not know a label or a set."""
     masks: set[int] = set()
-    for s in _array(doc[key], key):
+    for s in sets:
         _array(s, f"a {noun}")
         try:
-            # distinct bits add without a carry, so a repeated label loses a bit
             m = sum(map(bit.__getitem__, s))
         except KeyError:
             for lab in s:
@@ -108,7 +132,6 @@ def _parse_family(doc, key: str, noun: str) -> SetSystem:
         if m in masks:
             raise DocumentError(f"duplicate {noun} {s}")
         masks.add(m)
-    return SetSystem(ground, tuple(sorted(masks)))
 
 
 def _parse_graph(doc) -> Graph:
@@ -132,35 +155,110 @@ def _parse_representation(doc) -> Representation:
     return Representation.from_rows(_array(doc["columns"], "columns"), doc["rows"])
 
 
-def emit_document(value) -> dict:
+def emit_document(value) -> str:
+    """The canonical JSON text of a value's document, without a newline.
+
+    It equals ``canonical_json`` of the document as a dict.  Set systems
+    and matroids are written straight from label tables (see
+    ``_family_text``); the other documents go through ``canonical_json``.
+    """
     if isinstance(value, SetSystem):
-        return {
-            "type": "setsystem",
-            "ground": list(value.ground.labels),
-            "sets": value.member_sets(),
-        }
+        ground = value.ground.labels
+        sets = _family_text(ground, value.family)
+        return f'{{"ground":{_labels_text(ground)},"sets":{sets},"type":"setsystem"}}'
+    if isinstance(value, Matroid):
+        ground = value.ground.labels
+        bases = _family_text(ground, value.carrier.family)
+        return f'{{"bases":{bases},"ground":{_labels_text(ground)},"type":"matroid"}}'
     if isinstance(value, Graph):
-        return {
+        doc = {
             "type": "graph",
             "vertices": list(value.vertices()),
             "edges": [list(e) for e in value.edges()],
             "loops": value.loops(),
         }
-    if isinstance(value, Gf2Matrix):
-        return {"type": "matrix", "labels": list(value.ground.labels), "rows": value.to_lists()}
-    if isinstance(value, Matroid):
-        return {
-            "type": "matroid",
-            "ground": list(value.ground.labels),
-            "bases": value.carrier.member_sets(),
-        }
-    if isinstance(value, Representation):
-        return {"type": "representation", "columns": list(value.columns.labels), "rows": value.to_lists()}
-    raise TypeError(f"cannot emit {type(value).__name__}")
+    elif isinstance(value, Gf2Matrix):
+        doc = {"type": "matrix", "labels": list(value.ground.labels), "rows": value.to_lists()}
+    elif isinstance(value, Representation):
+        doc = {"type": "representation", "columns": list(value.columns.labels), "rows": value.to_lists()}
+    else:
+        raise TypeError(f"cannot emit {type(value).__name__}")
+    return canonical_json(doc)
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _labels_text(labels: tuple[str, ...]) -> str:
+    return "[" + ",".join(map(_quote, labels)) + "]"
+
+
+_AFTER_COMMA = operator.itemgetter(slice(1, None))
+
+
+@functools.lru_cache(maxsize=64)
+def _label_tables(labels: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Per byte of a mask, the labels it marks as JSON text, each after a comma.
+
+    Table k maps a byte to the quoted labels at positions 8k .. 8k+7,
+    quoted as ``json.dumps`` quotes them (ASCII escapes).  The tables are
+    kept per ground set, so the six systems of an orbit share them.
+    """
+    tables = []
+    for shift in range(0, max(len(labels), 1), 8):
+        table = [""]
+        for lab in labels[shift : shift + 8]:
+            fragment = "," + _quote(lab)
+            table += [t + fragment for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _family_text(labels: tuple[str, ...], family: tuple[int, ...]) -> str:
+    """The JSON array of the members' label lists, in family order.
+
+    One comprehension per byte column joins each member's fragments; the
+    leading comma of every nonempty member is cut when the lists are joined.
+    """
+    if not family:
+        return "[]"
+    first, *rest = _label_tables(labels)
+    texts = [first[m & 255] for m in family]
+    for shift, table in zip(range(8, 64, 8), rest):
+        texts = [t + table[m >> shift & 255] for t, m in zip(texts, family)]
+    return "[[" + "],[".join(map(_AFTER_COMMA, texts)) + "]]"
+
+
+def _coefficients_text(poly: UniPoly) -> str:
+    return json.dumps(poly.coeff_list(), separators=(",", ":"))
+
+
+def _tree_text(trace: RecursionTrace) -> str:
+    """The JSON text of a computation tree, each distinct node rendered once.
+
+    The recursion memo shares the node of a repeated minor between its
+    parents, so the rendered texts are kept by node identity.
+    """
+    texts: dict[int, str] = {}
+
+    def node(t: RecursionTrace) -> str:
+        text = texts.get(id(t))
+        if text is None:
+            fields = []
+            if t.branches:
+                children = [f'{{"child":{node(child)},"op":{_quote(op)}}}' for op, child in t.branches]
+                fields.append(f'"branches":[{",".join(children)}]')
+            if t.element is not None:
+                fields.append(f'"element":{_quote(t.element)}')
+            if t.factor is not None:
+                fields.append(f'"factor":{_coefficients_text(t.factor)}')
+            fields.append(f'"system":{emit_document(t.system)}')
+            fields.append(f'"value":{_coefficients_text(t.value)}')
+            text = texts[id(t)] = "{" + ",".join(fields) + "}"
+        return text
+
+    return node(trace)
 
 
 # -- operation words -----------------------------------------------------------
@@ -245,7 +343,7 @@ def _read_input(path: str) -> str:
 
 def _print_poly(poly: UniPoly, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(poly.coeff_list(), separators=(",", ":")))
+        print(_coefficients_text(poly))
     else:
         print(poly.text())
 
@@ -270,14 +368,14 @@ def _as_setsystem(value) -> SetSystem:
 
 def cmd_validate(args) -> int:
     value = parse_document(_read_input(args.input))
-    sys.stdout.write(canonical_json(emit_document(value)))
+    print(emit_document(value))
     return EXIT_OK
 
 
 def cmd_apply(args) -> int:
     system = _as_setsystem(parse_document(_read_input(args.input)))
     result = apply_operation_word(system, args.word)
-    sys.stdout.write(canonical_json(emit_document(result)))
+    print(emit_document(result))
     return EXIT_OK
 
 
@@ -330,8 +428,7 @@ def cmd_orbit(args) -> int:
     system = _as_setsystem(parse_document(_read_input(args.input)))
     gen = "fullV-alternation" if args.generators == "fullv" else "all-single-element-flips"
     systems = vf_orbit(system, gen)
-    docs = [emit_document(s) for s in systems]
-    sys.stdout.write(canonical_json(docs))
+    print("[" + ",".join([emit_document(s) for s in systems]) + "]")
     return EXIT_OK
 
 
@@ -344,35 +441,19 @@ def cmd_tree(args) -> int:
     else:
         _, trace = Q1_recursive(system)
     if args.format == "json":
-        sys.stdout.write(canonical_json(_trace_doc(trace)))
+        print(_tree_text(trace))
     else:
         print(trace.render())
     return EXIT_OK
-
-
-def _trace_doc(trace) -> dict:
-    doc = {
-        "system": emit_document(trace.system),
-        "value": trace.value.coeff_list(),
-    }
-    if trace.element is not None:
-        doc["element"] = trace.element
-    if trace.factor is not None:
-        doc["factor"] = trace.factor.coeff_list()
-    if trace.branches:
-        doc["branches"] = [{"op": op, "child": _trace_doc(child)} for op, child in trace.branches]
-    return doc
 
 
 def cmd_from_graph(args) -> int:
     value = parse_document(_read_input(args.input))
     if not isinstance(value, Graph):
         raise DocumentError("from-graph needs a graph document")
-    out = {
-        "matrix": emit_document(value.matrix),
-        "setsystem": emit_document(support_set_system(value.matrix)),
-    }
-    sys.stdout.write(canonical_json(out))
+    matrix = emit_document(value.matrix)
+    system = emit_document(support_set_system(value.matrix))
+    print(f'{{"matrix":{matrix},"setsystem":{system}}}')
     return EXIT_OK
 
 
@@ -380,7 +461,7 @@ def cmd_from_matrix(args) -> int:
     value = parse_document(_read_input(args.input))
     if not isinstance(value, Gf2Matrix):
         raise DocumentError("from-matrix needs a matrix document")
-    sys.stdout.write(canonical_json(emit_document(support_set_system(value))))
+    print(emit_document(support_set_system(value)))
     return EXIT_OK
 
 
@@ -390,7 +471,7 @@ def cmd_ppt(args) -> int:
         raise DocumentError("ppt needs a matrix document")
     labels = _parse_label_list(args.on)
     result = ppt(value, value.ground.mask_of(labels))
-    sys.stdout.write(canonical_json(emit_document(result)))
+    print(emit_document(result))
     return EXIT_OK
 
 
@@ -414,7 +495,7 @@ def cmd_bicycle_dim(args) -> int:
 def cmd_fundamental_graph(args) -> int:
     matroid = _as_matroid(parse_document(_read_input(args.input)), "fundamental-graph")
     graph = fundamental_graph(matroid, _parse_label_list(args.basis))
-    sys.stdout.write(canonical_json(emit_document(graph)))
+    print(emit_document(graph))
     return EXIT_OK
 
 

@@ -184,11 +184,12 @@ def _flip_images_are_delta_matroids(system: SetSystem) -> bool:
     flip word factors per element into a coset representative in
     {identity, loopc, dual pivot} followed by a pivot, so it suffices to
     check the images under disjoint loopc/dual-pivot element choices
-    (at most 3^n systems after dedup).  The members of every family held,
-    the input's included, count against ``size_guard``.
+    (at most 3^n systems after dedup).  The running sum of |F|^2 over the
+    images checked counts against ``size_guard``: it bounds the pairs the
+    exchange checks scan, and with them the members held.
     """
     what = f"vf-closure flip images at n={system.ground.n}"
-    held = len(system.family)
+    pairs = 0
     seen = {system.family}
     frontier = [system]
     for i in range(system.ground.n):
@@ -198,8 +199,8 @@ def _flip_images_are_delta_matroids(system: SetSystem) -> bool:
             for image in (s.loopc(bit), s.dual_pivot(bit)):
                 if image.family in seen:
                     continue
-                held += len(image.family)
-                size_guard(held, what)
+                pairs += len(image.family) ** 2
+                size_guard(pairs, what)
                 seen.add(image.family)
                 if not _exchange_axiom(image):
                     return False

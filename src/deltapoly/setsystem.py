@@ -9,6 +9,7 @@ elements commute.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence, Union
@@ -17,6 +18,7 @@ from . import cube
 from .errors import GroundSetError, ImproperSystemError, size_guard
 
 MAX_GROUND = 62  # subsets must fit a single machine-word-sized bitmask
+_INTS = frozenset((int,))
 
 FlipKind = Literal["pivot", "loopc", "dualpivot"]
 
@@ -119,12 +121,17 @@ class SetSystem:
     def __post_init__(self) -> None:
         fam = self.family
         full = self.ground.full_mask
-        canon = tuple(sorted(set(fam)))
-        for m in canon:
+        if type(fam) is tuple and all(map(operator.lt, fam, fam[1:])) and _INTS.issuperset(map(type, fam)):
+            # strictly ascending ints, such as a flip's or cube.members' output, are kept
+            # as they are, and the first and last members bound the range check
+            if not fam or not (fam[0] | fam[-1]) & ~full:
+                return
+        else:
+            fam = tuple(sorted(set(fam)))
+            object.__setattr__(self, "family", fam)
+        for m in fam:
             if m & ~full:
                 raise GroundSetError(f"member mask {m:#x} has bits outside the ground set")
-        if canon != tuple(fam):
-            object.__setattr__(self, "family", canon)
 
     # -- construction helpers -------------------------------------------------
 
@@ -147,27 +154,6 @@ class SetSystem:
 
     def members(self) -> tuple[Mask, ...]:
         return self.family
-
-    def member_sets(self) -> list[list[str]]:
-        """The members as label lists, in family order.
-
-        Table k maps a byte to the labels at positions 8k .. 8k+7 that it
-        marks, and a member joins one entry per byte of its mask.  The
-        tables are built per call and the members are distinct, so no two
-        members share a list.
-        """
-        labels = self.ground.labels
-        fam = self.family
-        sets: list[list[str]] = []
-        for shift in range(0, max(len(labels), 1), 8):
-            table: list[list[str]] = [[]]
-            for lab in labels[shift : shift + 8]:
-                table += [t + [lab] for t in table]
-            if shift:
-                sets = [s + table[m >> shift & 255] for s, m in zip(sets, fam)]
-            else:
-                sets = [table[m & 255] for m in fam]
-        return sets
 
     @property
     def is_proper(self) -> bool:

@@ -9,7 +9,9 @@ import pytest
 from deltapoly import (
     DeltaPolyError,
     DocumentError,
+    GroundSet,
     GroundSetError,
+    Matroid,
     Q1_recursive,
     SetSystem,
     binary_matroid_from_matrix,
@@ -33,6 +35,7 @@ from deltapoly.delta import _exchange_axiom
 from support import (
     FIG_ORBIT,
     M0,
+    random_graph,
     simple_representation,
     twisted_graph_systems,
     uniform_tutte,
@@ -70,9 +73,9 @@ def triangle_path(tmp_path):
 def test_parse_document_roundtrip():
     system = parse_document(M0_DOC)
     assert system == M0
-    emitted = canonical_json(emit_document(system))
+    emitted = emit_document(system)
     assert parse_document(emitted) == system
-    assert canonical_json(emit_document(parse_document(emitted))) == emitted
+    assert emit_document(parse_document(emitted)) == emitted
 
 
 def test_parse_document_errors():
@@ -126,13 +129,38 @@ def test_cli_validate_prints_canonical_form(n, tmp_path, capsys):
     system = wide_set_system(rng, n)
     labels = list(system.ground.labels)
     sets = [[labels[i] for i in range(n) if m >> i & 1] for m in system.family]
-    expected = canonical_json({"type": "setsystem", "ground": labels, "sets": sets})
+    expected = canonical_json({"type": "setsystem", "ground": labels, "sets": sets}) + "\n"
     shuffled = [rng.sample(s, len(s)) for s in sets]
     rng.shuffle(shuffled)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"type": "setsystem", "ground": labels, "sets": shuffled}))
     assert main(["validate", "--input", str(path)]) == 0
     assert capsys.readouterr().out == expected
+
+
+ESCAPED_LABELS = ('"', "\\", "\u00e9", "\n", "\u2028", "\U0001f600")
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 16, 17, 20))
+def test_emit_document_matches_json_dumps(n):
+    # every label needs escaping, so each byte column of the label tables is exercised
+    labels = [f"{ESCAPED_LABELS[i % len(ESCAPED_LABELS)]}{i}" for i in range(n)]
+    wide = wide_set_system(random.Random(n), n)
+    bases = tuple(m for m in range(1 << n) if m.bit_count() == min(2, n)) if n <= 9 else (3, 5, 6, 9, 10, 12)
+    system = SetSystem(GroundSet(tuple(labels)), wide.family)
+    matroid = Matroid(SetSystem(system.ground, bases))
+
+    def sets(family):
+        return [list(system.ground.labels_of(m)) for m in family]
+
+    for value, doc in (
+        (system, {"type": "setsystem", "ground": labels, "sets": sets(system.family)}),
+        (SetSystem(system.ground, ()), {"type": "setsystem", "ground": labels, "sets": []}),
+        (matroid, {"type": "matroid", "ground": labels, "bases": sets(matroid.carrier.family)}),
+    ):
+        text = emit_document(value)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert parse_document(text) == value
 
 
 def test_cli_setsystem_parse_errors(tmp_path, capsys):
@@ -142,6 +170,11 @@ def test_cli_setsystem_parse_errors(tmp_path, capsys):
         ([["a"], ["b", "z"]], "error: element 'z' not in ground set ('a', 'b')"),
         (["ab", []], "error: a set must be a JSON array, got 'ab'"),
         ([{"a": 1}], "error: a set must be a JSON array, got {'a': 1}"),
+        # the first bad set is named, whichever check it fails
+        ([["a"], [], ["b", "b"], ["a", "b"], ["a"]], "error: set ['b', 'b'] repeats an element"),
+        ([[], ["a"], ["b"], ["a", "y"], ["b", "b"]], "error: element 'y' not in ground set ('a', 'b')"),
+        ([[], ["a"], ["b"], "ab", ["a"]], "error: a set must be a JSON array, got 'ab'"),
+        ([[], ["a"], {"b": 1}, ["z"]], "error: a set must be a JSON array, got {'b': 1}"),
     )
     path = tmp_path / "bad.json"
     for sets, message in cases:
@@ -234,7 +267,7 @@ def tree_digests(tmp_path, capsys) -> dict:
     out = {}
     for name, system in tree_inputs().items():
         path = tmp_path / f"{name}.json"
-        path.write_text(canonical_json(emit_document(system)))
+        path.write_text(emit_document(system))
         for which in ("q1", "q2", "q3", "Q1"):
             for fmt in ("json", "text"):
                 assert main(["tree", "--which", which, "--format", fmt, "--input", str(path)]) == 0
@@ -299,6 +332,45 @@ TREE_DIGESTS = {
 }
 
 
+def test_cli_family_outputs_are_pinned(tmp_path, capsys):
+    assert writer_digests(tmp_path, capsys) == WRITER_DIGESTS
+
+
+def writer_digests(tmp_path, capsys) -> dict:
+    """sha256 prefixes of every command that writes a family, on one seeded 10-vertex graph."""
+    graph = random_graph(random.Random(10), 10)
+    edges = [list(e) for e in graph.edges()]
+    gdoc = {"type": "graph", "vertices": list(graph.vertices()), "edges": edges, "loops": graph.loops()}
+    gpath, mpath, spath = tmp_path / "g10.json", tmp_path / "m10.json", tmp_path / "s10.json"
+    gpath.write_text(json.dumps(gdoc))
+
+    def run(*argv):
+        assert main([*argv]) == 0
+        return capsys.readouterr().out
+
+    out = {"from-graph": run("from-graph", "--input", str(gpath))}
+    docs = json.loads(out["from-graph"])
+    mpath.write_text(json.dumps(docs["matrix"]))
+    spath.write_text(json.dumps(docs["setsystem"]))
+    out["from-matrix"] = run("from-matrix", "--input", str(mpath))
+    out["ppt"] = run("ppt", "--on", ",".join(docs["setsystem"]["sets"][-1]), "--input", str(mpath))
+    out["validate"] = run("validate", "--input", str(spath))
+    out["apply"] = run("apply", "--word", "\\a[b,c,d,e,f,g,h,i]*b+c~*d+e*{f,g}", "--input", str(spath))
+    out["orbit"] = run("orbit", "--generators", "fullv", "--input", str(spath))
+    return {name: hashlib.sha256(text.encode()).hexdigest()[:16] for name, text in out.items()}
+
+
+# recorded while the family documents were still built as dicts and written by json.dumps
+WRITER_DIGESTS = {
+    "from-graph": "e5f31361d58dd9f3",
+    "from-matrix": "10d1e13141daca22",
+    "ppt": "7ab07cf95504c97b",
+    "validate": "10d1e13141daca22",
+    "apply": "3969295f2c6c5e50",
+    "orbit": "e3766f3f9531f7c7",
+}
+
+
 def test_cli_check(m0_path, capsys):
     assert main(["check", "dm", "--input", m0_path]) == 0
     assert json.loads(capsys.readouterr().out) is True
@@ -309,7 +381,7 @@ def test_cli_check(m0_path, capsys):
 def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys, monkeypatch):
     system = twisted_graph_systems(seed=8, count=1, n_min=8, n_max=8)[0]
     path = tmp_path / "twisted8.json"
-    path.write_text(canonical_json(emit_document(system)))
+    path.write_text(emit_document(system))
     input_checks = []
 
     def counting(s):
@@ -327,7 +399,7 @@ def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["value"] == poly_direct(system, "Q1").coeff_list()
     system = twisted_graph_systems(seed=10, count=1, n_min=10, n_max=10)[0]
     path = tmp_path / "twisted10.json"
-    path.write_text(canonical_json(emit_document(system)))
+    path.write_text(emit_document(system))
 
     def no_images(s):
         raise AssertionError("a binary input enumerated its flip images")
@@ -338,9 +410,9 @@ def test_cli_vf_closure_on_binary_inputs(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_enumeration_refusal_exits_2(tmp_path, capsys, monkeypatch):
-    # U(2,4) is not binary: its 80 flip images hold 800 members, the input's 6 included
+    # U(2,4) is not binary: the sum of |F|^2 over its 80 flip images is 7,962
     path = tmp_path / "u24.json"
-    path.write_text(canonical_json(emit_document(uniform_matroid(2, 4).carrier)))
+    path.write_text(emit_document(uniform_matroid(2, 4).carrier))
     monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 200)
     assert main(["check", "vfclosed", "--input", str(path)]) == 2
     assert "vf-closure flip images at n=4 needs" in capsys.readouterr().err
@@ -348,6 +420,15 @@ def test_cli_enumeration_refusal_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["orbit", "--generators", "single", "--input", str(path)]) == 2
     assert "single-flip orbit at n=4 needs" in capsys.readouterr().err
+
+
+def test_cli_vf_closure_enumeration_counts_exchange_pairs(tmp_path, capsys):
+    # {∅} on 21 labels is above the certificate's limit; its flip images pass 2^20 member pairs
+    # after a few thousand small exchange checks, where counting held members let them run for 30 s
+    path = tmp_path / "empty21.json"
+    path.write_text(json.dumps({"type": "setsystem", "ground": [f"e{i}" for i in range(21)], "sets": [[]]}))
+    assert main(["check", "vfclosed", "--input", str(path)]) == 2
+    assert "vf-closure flip images at n=21 needs 1,050,724 cells" in capsys.readouterr().err
 
 
 def _subclasses(cls):
@@ -366,7 +447,7 @@ def test_cli_verify_checks_a_non_binary_input_once(tmp_path, capsys, monkeypatch
     labels = ["u1", "u2", "u3"]
     system = SetSystem.from_sets(labels, [[a for a in labels if k >> labels.index(a) & 1] for k in range(1, 8)])
     path = tmp_path / "every_nonempty.json"
-    path.write_text(canonical_json(emit_document(system)))
+    path.write_text(emit_document(system))
     runs = []
 
     def counting(s):
@@ -442,7 +523,7 @@ def test_cli_ppt(tmp_path, capsys):
 def test_cli_tutte_and_verify_on_16_columns(tmp_path, capsys):
     rep = simple_representation(random.Random(16), 16, 8)
     path = tmp_path / "rep16.json"
-    path.write_text(canonical_json(emit_document(rep)))
+    path.write_text(emit_document(rep))
     assert main(["tutte", "--input", str(path)]) == 0
     records = json.loads(capsys.readouterr().out)
     assert sum(r["c"] for r in records) == len(binary_matroid_from_matrix(rep).bases())  # T(1, 1)

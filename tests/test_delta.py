@@ -226,10 +226,11 @@ def test_vf_closed_cell_limit(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("deltapoly.delta._flip_images_are_delta_matroids", no_images)
         assert is_vf_closed(twisted)
-    # U(2,4) is not binary: 80 images of at most 11 members, 800 members held with the input's 6
+    # U(2,4) is not binary: its 80 images of at most 11 members have a sum of |F|^2 of 7,962;
+    # the first three, of 9 members each, pass 200 at 243
     u24 = uniform_matroid(2, 4).carrier
     monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 200)
-    with pytest.raises(SizeGuardError, match="flip images at n=4 needs 204 cells, over the limit of 200;"):
+    with pytest.raises(SizeGuardError, match="flip images at n=4 needs 243 cells, over the limit of 200;"):
         is_vf_closed(u24)
     with forced():
         assert is_vf_closed(u24)

@@ -22,7 +22,7 @@ from deltapoly import (
     vf_orbit,
 )
 from deltapoly.setsystem import pack_bits, scatter_bits
-from support import FIG_ORBIT, M0, random_graph, wide_set_system
+from support import FIG_ORBIT, M0, random_graph
 
 
 @st.composite
@@ -66,6 +66,19 @@ def test_member_outside_ground_rejected():
     g = GroundSet(("a",))
     with pytest.raises(GroundSetError):
         SetSystem(g, (2,))
+
+
+def test_ascending_family_is_kept_and_still_checked():
+    g = GroundSet(("a", "b"))
+    family = (0, 1, 3)
+    assert SetSystem(g, family).family is family
+    for ascending in ((0, 4), (-1, 2), (0, 1, 2, 3, 5)):
+        with pytest.raises(GroundSetError, match="has bits outside the ground set"):
+            SetSystem(g, ascending)
+    # a member that is not an int is refused wherever it stands
+    for mixed in ((1, "a"), ("a",), (0, "a", 3), (0, 1.5), (0, 0.5, 1)):
+        with pytest.raises(TypeError):
+            SetSystem(g, mixed)
 
 
 def test_classify_examples():
@@ -243,15 +256,6 @@ def test_pack_scatter_examples():
     assert pack_bits(0b1010, 0b1110) == 0b101
     assert scatter_bits(0b101, 0b1110) == 0b1010
     assert pack_bits(0b1111, 0) == scatter_bits(0b1111, 0) == 0
-
-
-@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 16, 17, 20))
-def test_member_sets_match_labels_of(n):
-    system = wide_set_system(random.Random(n), n)
-    sets = system.member_sets()
-    assert sets == [list(system.ground.labels_of(m)) for m in system.family]
-    assert len({id(s) for s in sets}) == len(sets)
-    assert SetSystem(system.ground, ()).member_sets() == []
 
 
 def test_labels_survive_operations():

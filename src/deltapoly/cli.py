@@ -568,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--input", required=True, help="input document path, or - for stdin")
-        p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--force", action="store_true", help="override the cell limit")
 
     p = sub.add_parser("validate", help="parse and re-emit a document canonically")
@@ -582,6 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="compute an interlace-family polynomial")
     common(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3", "Q"), required=True)
     p.add_argument("--via-system", action="store_true", help="route graphs through the set system")
     p.set_defaults(func=cmd_poly)
@@ -605,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="recursive computation tree")
     common(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3"), required=True)
     p.set_defaults(func=cmd_tree)
 
@@ -623,6 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tutte", help="Tutte polynomial of a matroid")
     common(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_tutte)
 
     p = sub.add_parser("bicycle-dim", help="bicycle-space dimension of a representation")

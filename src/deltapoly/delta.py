@@ -127,38 +127,15 @@ class DivisibilityStatus:
 def divisibility(system: SetSystem, element) -> DivisibilityStatus:
     """Divisibility of the system by one element, via properness of minors.
 
-    Divisible: both the deletion and the pivot-deletion minors are proper,
-    i.e. some member contains the element and some member avoids it.
-    Strongly divisible: additionally some member's toggle by the element
-    is not a member.
+    Divisible: the deletion and the pivot-deletion minors are proper, i.e.
+    some member contains the element and some member avoids it.  Strongly
+    divisible: the dual-pivot-deletion minor is proper too, i.e. some
+    member's toggle by the element is not a member.
     """
     system.require_proper()
-    bit = system.ground.coerce(element)
-    if bit.bit_count() != 1:
-        raise ValueError("divisibility is defined per single element")
-    return DivisibilityStatus(divisible_by(system, bit), strongly_divisible_by(system, bit))
-
-
-def divisible_by(system: SetSystem, bit: int) -> bool:
-    """Used by divisibility and the recursion engine; bit must be a single element."""
-    has_with = False
-    has_without = False
-    for m in system.family:
-        if m & bit:
-            has_with = True
-        else:
-            has_without = True
-        if has_with and has_without:
-            return True
-    return False
-
-
-def strongly_divisible_by(system: SetSystem, bit: int) -> bool:
-    """Fast path: divisible and some member's toggle is not a member."""
-    if not divisible_by(system, bit):
-        return False
-    fam = set(system.family)
-    return any(m ^ bit not in fam for m in system.family)
+    deletion, pivot_deletion, dual = system.minors(element)
+    divisible = bool(deletion.family and pivot_deletion.family)
+    return DivisibilityStatus(divisible, divisible and bool(dual.family))
 
 
 def is_vf_closed(system: SetSystem) -> bool:

@@ -1,12 +1,15 @@
-"""Recursive computation of q1, q2, q3, Q1 with explicit computation trees.
+r"""Recursive computation of q1, q2, q3, Q1 with explicit computation trees.
 
-Branching removes one ground element per step.  The element is the
-smallest-index one satisfying the branch condition (divisibility for q1,
-divisibility of the transformed system for q2/q3, strong divisibility
-for Q1); leaves carry closed-form values.  All of them, and Tutte's
-deletion/contraction in ``matroids.tutte_dc``, run on one driver that
-takes the branch condition and minors as a rule and expands each
-distinct minor once.
+Each step removes one ground element e and sums over some of its three
+minors (``SetSystem.minors``): the deletion F\e, the pivot-deletion
+F*e\e and the dual-pivot-deletion F~*e\e.  One table says which: q1
+sums the first two, q2 the last two, q3 the dual-pivot-deletion and the
+deletion, Q1 all three.  The element is the smallest-index one at which
+those minors are all proper (divisibility for q1, divisibility of the
+transformed system for q2/q3, strong divisibility for Q1); a node with
+no such element is a leaf with a closed-form value.  All of them, and
+Tutte's deletion/contraction in ``matroids.tutte_dc``, run on one
+driver that takes the branch rule and expands each distinct minor once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Literal, Optional, Union
 
-from .delta import divisible_by, is_delta_matroid, is_vf_closed, strongly_divisible_by
+from .delta import is_delta_matroid, is_vf_closed
 from .errors import PreconditionError
 from .interlace import UniPoly, Which, poly_direct
 from .setsystem import Mask, SetSystem, full_flip_explicit
@@ -116,10 +119,26 @@ def _recurse(system: SetSystem, rule: Rule, leaf: Callable[[int], Poly]) -> tupl
     return trace.value, trace
 
 
-def _first_bit(m: SetSystem, chooser: Chooser, test: Callable[[Mask], bool]) -> Optional[Mask]:
-    """Smallest (or largest) single-element mask passing the test."""
-    order = range(m.ground.n) if chooser == "min" else reversed(range(m.ground.n))
-    return next((1 << i for i in order if test(1 << i)), None)
+# Operation labels of the minors of SetSystem.minors, in its order, and which
+# of them each polynomial sums; an element branches when those are all proper.
+_OPS = ("\\{0}", "*{0}\\{0}", "~*{0}\\{0}")
+_BRANCHES = {"q1": (0, 1), "q2": (1, 2), "q3": (2, 0), "Q1": (0, 1, 2)}
+
+
+def _minor_rule(which: Which, chooser: Chooser) -> Rule:
+    """Branch on the first (or last) element whose minors listed for which are all proper."""
+    picks = _BRANCHES[which]
+
+    def rule(m: SetSystem) -> Optional[Branch]:
+        n = m.ground.n
+        for i in range(n) if chooser == "min" else reversed(range(n)):
+            minors = m.minors(1 << i)
+            if all(minors[k].family for k in picks):
+                label = m.ground.labels[i]
+                return label, None, tuple((_OPS[k].format(label), minors[k]) for k in picks)
+        return None
+
+    return rule
 
 
 def _label(m: SetSystem, bit: Mask) -> str:
@@ -143,13 +162,6 @@ def q1_recursive(
     if _should_check(system, checked) and not is_delta_matroid(system):
         raise PreconditionError("q1 recursion needs a delta-matroid input")
 
-    def plain(m: SetSystem) -> Optional[Branch]:
-        bit = _first_bit(m, chooser, lambda b: divisible_by(m, b))
-        if bit is None:
-            return None
-        label = _label(m, bit)
-        return label, None, ((f"\\{label}", m.delete(bit)), (f"*{label}\\{label}", m.pivot(bit).delete(bit)))
-
     def multiplicative(m: SetSystem) -> Optional[Branch]:
         n = m.ground.n
         if n == 0 or len(m.family) == 1:
@@ -157,33 +169,31 @@ def q1_recursive(
         bit = 1 if chooser == "min" else 1 << (n - 1)
         label = _label(m, bit)
         case, factor, parts = q1_multiplicative_step(m, bit)
-        deletion, pivot_deletion = f"\\{label}", f"*{label}\\{label}"
+        deletion, pivot_deletion = (op.format(label) for op in _OPS[:2])
         ops = {"loop": (deletion,), "coloop": (pivot_deletion,), "additive": (deletion, pivot_deletion)}[case]
         return label, factor, tuple(zip(ops, parts))
 
-    return _recurse(system, multiplicative if use_multiplicative else plain, partial(UniPoly.binomial_power, 1))
+    rule = multiplicative if use_multiplicative else _minor_rule("q1", chooser)
+    return _recurse(system, rule, partial(UniPoly.binomial_power, 1))
 
 
 def q1_multiplicative_step(system: SetSystem, element) -> tuple[str, Optional[UniPoly], tuple[SetSystem, ...]]:
     """Classify one q1 step at an element into loop, coloop, or additive.
 
-    loop: the element occurs in no member, so the pivot-deletion minor is
-    improper and q1 gains a factor y+1 on the deletion minor.  coloop:
-    the element occurs in every member, symmetrically.  Otherwise both
-    minors are proper and the step is the two-way sum.
+    loop: the pivot-deletion minor is improper (the element occurs in no
+    member), and q1 gains a factor y+1 on the deletion minor.  coloop: the
+    deletion minor is improper (the element occurs in every member),
+    symmetrically.  Otherwise both minors are proper and the step is the
+    two-way sum.
     """
     system.require_proper()
-    bit = system.ground.coerce(element)
-    if bit.bit_count() != 1:
-        raise ValueError("the multiplicative step works on a single element")
-    has_with = any(m & bit for m in system.family)
-    has_without = any(not m & bit for m in system.family)
+    deletion, pivot_deletion, _ = system.minors(element)
     factor = UniPoly.from_coeffs([1, 1])
-    if not has_with:
-        return "loop", factor, (system.delete(bit),)
-    if not has_without:
-        return "coloop", factor, (system.pivot(bit).delete(bit),)
-    return "additive", None, (system.delete(bit), system.pivot(bit).delete(bit))
+    if not pivot_deletion.family:
+        return "loop", factor, (deletion,)
+    if not deletion.family:
+        return "coloop", factor, (pivot_deletion,)
+    return "additive", None, (deletion, pivot_deletion)
 
 
 def q2_q3_recursive(
@@ -194,10 +204,10 @@ def q2_q3_recursive(
 ) -> tuple[UniPoly, RecursionTrace]:
     """Two-way recursion for q2 (pivot/dual-pivot branches) or q3 (dual-pivot/deletion).
 
-    Branching is governed by divisibility of the fully transformed system,
-    tested cheaply per element on the singly transformed one.  The
-    delta-matroid hypothesis on the transformed system is verified at the
-    root when checking is on; the recursion preserves it.
+    An element branches when both its minors are proper, which is
+    divisibility of the transformed system by it.  The delta-matroid
+    hypothesis on the transformed system is verified at the root when
+    checking is on; the recursion preserves it.
     """
     system.require_proper()
     if which not in ("q2", "q3"):
@@ -209,20 +219,7 @@ def q2_q3_recursive(
             raise PreconditionError(
                 f"{which} recursion needs the {kind}-transformed system to be a delta-matroid"
             )
-
-    def rule(m: SetSystem) -> Optional[Branch]:
-        flip = m.dual_pivot if which == "q2" else m.loopc
-        bit = _first_bit(m, chooser, lambda b: divisible_by(flip(b), b))
-        if bit is None:
-            return None
-        label = _label(m, bit)
-        pivoted = (f"*{label}\\{label}", m.pivot(bit).delete(bit))
-        dual = (f"~*{label}\\{label}", m.dual_pivot(bit).delete(bit))
-        if which == "q2":
-            return label, None, (pivoted, dual)
-        return label, None, (dual, (f"\\{label}", m.delete(bit)))
-
-    return _recurse(system, rule, partial(UniPoly.binomial_power, 1))
+    return _recurse(system, _minor_rule(which, chooser), partial(UniPoly.binomial_power, 1))
 
 
 def Q1_recursive(
@@ -239,19 +236,7 @@ def Q1_recursive(
     system.require_proper()
     if _should_check(system, checked) and not is_vf_closed(system):
         raise PreconditionError("Q1 recursion needs a vf-closed delta-matroid input")
-
-    def rule(m: SetSystem) -> Optional[Branch]:
-        bit = _first_bit(m, chooser, lambda b: strongly_divisible_by(m, b))
-        if bit is None:
-            return None
-        label = _label(m, bit)
-        return label, None, (
-            (f"\\{label}", m.delete(bit)),
-            (f"*{label}\\{label}", m.pivot(bit).delete(bit)),
-            (f"~*{label}\\{label}", m.dual_pivot(bit).delete(bit)),
-        )
-
-    return _recurse(system, rule, partial(UniPoly.binomial_power, 2))
+    return _recurse(system, _minor_rule("Q1", chooser), partial(UniPoly.binomial_power, 2))
 
 
 def q1_normal_step(

@@ -186,34 +186,29 @@ class SetSystem:
         x = self.ground.coerce(subset)
         return SetSystem(self.ground, tuple(m ^ x for m in self.family))
 
-    def _loopc_single(self, bit: Mask) -> "SetSystem":
-        fam = set(self.family)
-        fam ^= {m | bit for m in self.family if not m & bit}
-        return SetSystem(self.ground, tuple(fam))
-
     def loopc(self, subset: Subset) -> "SetSystem":
-        """Loop complementation, element by element in index order.
+        """Loop complementation: on each element e, X + e toggles for each member X.
 
-        Order does not matter: loop complementations on distinct elements
-        commute.
+        Loop complementations on distinct elements commute.
         """
-        x = self.ground.coerce(subset)
-        out = self
-        while x:
-            bit = x & -x
-            out = out._loopc_single(bit)
-            x ^= bit
-        return out
+        return self._toggle(subset, holding=False)
 
     def dual_pivot(self, subset: Subset) -> "SetSystem":
-        """The third involution on each element: loopc, pivot, loopc."""
+        """The third involution, loopc pivot loopc: on each element e, X toggles for each member X + e."""
+        return self._toggle(subset, holding=True)
+
+    def _toggle(self, subset: Subset, holding: bool) -> "SetSystem":
+        """Per element e of the subset, in index order: m ^ e toggles for each member m
+        that holds e (holding) or avoids it (not holding)."""
         x = self.ground.coerce(subset)
-        out = self
+        fam, members = set(self.family), self.family
         while x:
             bit = x & -x
-            out = out._loopc_single(bit).pivot(bit)._loopc_single(bit)
+            want = bit if holding else 0
+            fam ^= {m ^ bit for m in members if m & bit == want}
+            members = fam
             x ^= bit
-        return out
+        return SetSystem(self.ground, tuple(fam))
 
     # -- restriction / deletion ----------------------------------------------
 
@@ -226,6 +221,27 @@ class SetSystem:
     def delete(self, subset: Subset) -> "SetSystem":
         x = self.ground.coerce(subset)
         return self.restrict(self.ground.full_mask & ~x)
+
+    def minors(self, element: Subset) -> tuple["SetSystem", "SetSystem", "SetSystem"]:
+        """The deletion F\\e, pivot-deletion F*e\\e and dual-pivot-deletion F~*e\\e.
+
+        One pass over the family: the members without e and those with e,
+        bit e cut out of each, are the first two minors, and the third is
+        their symmetric difference.  Cutting the bit keeps ascending order.
+        """
+        bit = self.ground.coerce(element)
+        if bit.bit_count() != 1:
+            raise ValueError("minors are taken at a single element")
+        low = bit - 1
+        high = ~low
+        without, with_e = [], []
+        for m in self.family:
+            (with_e if m & bit else without).append((m & low) | ((m >> 1) & high))
+        i = low.bit_length()
+        labels = self.ground.labels
+        ground = GroundSet(labels[:i] + labels[i + 1 :])
+        third = tuple(sorted(set(without).symmetric_difference(with_e)))
+        return SetSystem(ground, tuple(without)), SetSystem(ground, tuple(with_e)), SetSystem(ground, third)
 
 
 def pack_bits(value: Mask, mask: Mask) -> Mask:
@@ -355,7 +371,7 @@ def vf_orbit(system: SetSystem, generators: OrbitGenerators) -> list[SetSystem]:
         while queue:
             cur = queue.popleft()
             for bit in bits:
-                for nxt in (cur.pivot(bit), cur._loopc_single(bit)):
+                for nxt in (cur.pivot(bit), cur.loopc(bit)):
                     if nxt.family not in visited:
                         held += len(nxt.family)
                         size_guard(held, what)

@@ -579,6 +579,13 @@ def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_cli_format_only_where_a_text_rendering_exists(m0_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--format", "text", "--input", m0_path])
+    assert exit_info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_cli_force_reaches_the_support_enumeration(triangle_path, capsys, monkeypatch):
     commands = (
         ["eval", "--which", "q1", "--at", "1"],

@@ -118,6 +118,13 @@ def test_strong_implies_divisible():
             # the existential definition: some two members differ in the element
             exists_pair = any((x ^ y) >> i & 1 for x in system.family for y in system.family)
             assert status.divisible == exists_pair
+            # members with and members without the element
+            bit = 1 << i
+            with_e = [m for m in system.family if m & bit]
+            assert status.divisible == (0 < len(with_e) < len(system.family))
+            # divisible, and some member's toggle by the element is not a member
+            toggle_missing = any(m ^ bit not in system.family for m in system.family)
+            assert status.strongly_divisible == (status.divisible and toggle_missing)
 
 
 def test_strong_divisibility_is_flip_invariant():

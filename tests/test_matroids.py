@@ -199,10 +199,9 @@ def test_tutte_size_guard():
 
 
 def _first_element_minors(system):
-    """Receivers of the delete calls that expand, once each, the distinct
-    (labels, family) minors with elements left that deletion and contraction
-    of the first element reach."""
-    seen, todo, receivers = set(), [system], []
+    """The distinct (labels, family) minors with elements left, the input
+    included, that deletion and contraction of the first element reach."""
+    seen, todo = set(), [system]
     while todo:
         m = todo.pop()
         key = (m.ground.labels, m.family)
@@ -210,14 +209,11 @@ def _first_element_minors(system):
             continue
         seen.add(key)
         with_first = [b for b in m.family if b & 1]
-        parts = []
         if len(with_first) < len(m.family):  # not a coloop: delete
-            parts.append(m)
+            todo.append(m.delete(1))
         if with_first:  # not a loop: contract
-            parts.append(m.pivot(1))
-        receivers += [(p.ground.labels, p.family) for p in parts]
-        todo += [p.delete(1) for p in parts]
-    return receivers
+            todo.append(m.pivot(1).delete(1))
+    return list(seen)
 
 
 @pytest.mark.parametrize(
@@ -227,16 +223,16 @@ def _first_element_minors(system):
 )
 def test_tutte_dc_expands_each_distinct_minor_once(matroid, monkeypatch):
     calls = []
-    delete = SetSystem.delete
+    minors = SetSystem.minors
 
-    def counted(self, subset):
+    def counted(self, element):
         calls.append((self.ground.labels, self.family))
-        return delete(self, subset)
+        return minors(self, element)
 
-    monkeypatch.setattr(SetSystem, "delete", counted)
+    monkeypatch.setattr(SetSystem, "minors", counted)
     value = tutte_dc(matroid)
     monkeypatch.undo()
-    # one or two delete calls per distinct minor; U(3,5)/2 and U(2,5)\2 are one
+    # one minors call per distinct minor; U(3,5)/2 and U(2,5)\2 are one
     # minor of U(3,6), which a recursion without a memo expands twice
     assert sorted(calls) == sorted(_first_element_minors(matroid.carrier))
     assert value == tutte(matroid)

@@ -153,6 +153,30 @@ def test_same_element_braid_relation(case):
     left = system.loopc(bit).pivot(bit).loopc(bit)
     right = system.pivot(bit).loopc(bit).pivot(bit)
     assert left == right
+    assert system.dual_pivot(bit) == left
+
+
+_WIDE = GroundSet(tuple(f"e{i}" for i in range(62)))
+
+
+@given(proper_systems_with_element())
+@settings(max_examples=80)
+@example((M0, 1))
+@example((M0, 1 << 2))
+@example((SetSystem(_WIDE, (0, 3, 1 << 61, (1 << 61) | 5, _WIDE.full_mask)), 1 << 61))
+@example((SetSystem(GroundSet(("a", "b")), ()), 1))
+def test_minors_match_the_flip_compositions(case):
+    system, bit = case
+    minors = system.minors(bit)
+    assert minors == (system.delete(bit), system.pivot(bit).delete(bit), system.dual_pivot(bit).delete(bit))
+    assert system.minors(system.ground.labels[bit.bit_length() - 1]) == minors
+
+
+def test_minors_refuse_anything_but_one_element():
+    with pytest.raises(ValueError, match="single element"):
+        M0.minors(0b11)
+    with pytest.raises(GroundSetError):
+        M0.minors("z")
 
 
 def test_single_element_flips_generate_six_maps():

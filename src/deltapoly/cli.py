@@ -31,7 +31,7 @@ from .errors import (
     forced,
 )
 from .gf2 import Gf2Matrix, ppt, support_set_system
-from .graphs import Graph, _candidate_graph, graph_poly
+from .graphs import Graph, graph_poly, system_to_graph
 from .interlace import UniPoly, multivariate_Q, poly_direct, specialize
 from .matroids import (
     Matroid,
@@ -43,8 +43,8 @@ from .matroids import (
     tutte,
     tutte_dc,
 )
-from .recursion import Q1_recursive, RecursionTrace, q1_recursive, q2_q3_recursive
-from .setsystem import GroundSet, SetSystem, apply_vertex_flip, full_flip_explicit, vf_orbit
+from .recursion import RecursionTrace, recursion_hypothesis, recursive
+from .setsystem import GroundSet, SetSystem, apply_vertex_flip, vf_orbit
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -434,12 +434,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_tree(args) -> int:
     system = _as_setsystem(parse_document(_read_input(args.input)))
-    if args.which == "q1":
-        _, trace = q1_recursive(system)
-    elif args.which in ("q2", "q3"):
-        _, trace = q2_q3_recursive(system, args.which)
-    else:
-        _, trace = Q1_recursive(system)
+    _, trace = recursive(system, args.which)
     if args.format == "json":
         print(_tree_text(trace))
     else:
@@ -513,8 +508,7 @@ def cmd_verify(args) -> int:
         system = support_set_system(value.matrix)
         for which in ("q1", "q2", "q3", "Q1"):
             add(f"graph-vs-setsystem {which}", graph_poly(value, which) == poly_direct(system, which))
-        # the candidate equals the input graph iff system_to_graph(system) would return it
-        add("graph roundtrip", _candidate_graph(system).matrix == value.matrix)
+        add("graph roundtrip", system_to_graph(system) == value)
         value = system
     if isinstance(value, Representation):
         value = binary_matroid_from_matrix(value)
@@ -536,18 +530,14 @@ def cmd_verify(args) -> int:
             direct = {which: poly_direct(system, which) for which in names}
             for which, poly in direct.items():
                 add(f"multivariate specialization {which}", specialize(table, which) == poly)
-            vf_closed = is_vf_closed(system)  # asks is_delta_matroid first, which keeps its verdict
-            if vf_closed or is_delta_matroid(system):
-                add("q1 recursion vs direct", q1_recursive(system, checked=False)[0] == direct["q1"])
-                for which, kind in (("q2", "dualpivot"), ("q3", "loopc")):
-                    if is_delta_matroid(full_flip_explicit(system, kind)):
-                        recursive = q2_q3_recursive(system, which, checked=False)[0]
-                        add(f"{which} recursion vs direct", recursive == direct[which])
-                equal = Q1_recursive(system, checked=False)[0] == direct["Q1"]
-                if vf_closed:
-                    add("Q1 recursion vs direct", equal)
-                else:
-                    note = "happens to match" if equal else "differs from"
+            for which in ("q1", "q2", "q3", "Q1"):
+                # is_delta_matroid keeps its verdict: q1, Q1 and the note below pay it once
+                if recursion_hypothesis(system, which):
+                    rec, _ = recursive(system, which, checked=False)
+                    add(f"{which} recursion vs direct", rec == direct[which])
+                elif which == "Q1" and is_delta_matroid(system):
+                    rec, _ = recursive(system, which, checked=False)
+                    note = "happens to match" if rec == direct[which] else "differs from"
                     add(f"input not vf-closed; Q1 three-term sum {note} the direct value", True)
 
     failed = False

@@ -130,12 +130,13 @@ def divisibility(system: SetSystem, element) -> DivisibilityStatus:
     Divisible: the deletion and the pivot-deletion minors are proper, i.e.
     some member contains the element and some member avoids it.  Strongly
     divisible: the dual-pivot-deletion minor is proper too, i.e. some
-    member's toggle by the element is not a member.
+    member's toggle by the element is not a member; that minor is the
+    symmetric difference of the other two, so they differ.
     """
     system.require_proper()
-    deletion, pivot_deletion, dual = system.minors(element)
+    deletion, pivot_deletion = system.minors(element)
     divisible = bool(deletion.family and pivot_deletion.family)
-    return DivisibilityStatus(divisible, divisible and bool(dual.family))
+    return DivisibilityStatus(divisible, divisible and deletion.family != pivot_deletion.family)
 
 
 def is_vf_closed(system: SetSystem) -> bool:

@@ -1,15 +1,18 @@
 r"""Recursive computation of q1, q2, q3, Q1 with explicit computation trees.
 
 Each step removes one ground element e and sums over some of its three
-minors (``SetSystem.minors``): the deletion F\e, the pivot-deletion
-F*e\e and the dual-pivot-deletion F~*e\e.  One table says which: q1
-sums the first two, q2 the last two, q3 the dual-pivot-deletion and the
-deletion, Q1 all three.  The element is the smallest-index one at which
-those minors are all proper (divisibility for q1, divisibility of the
-transformed system for q2/q3, strong divisibility for Q1); a node with
-no such element is a leaf with a closed-form value.  All of them, and
-Tutte's deletion/contraction in ``matroids.tutte_dc``, run on one
-driver that takes the branch rule and expands each distinct minor once.
+minors: the deletion F\e and the pivot-deletion F*e\e, which
+``SetSystem.minors`` returns, and the dual-pivot-deletion F~*e\e, their
+symmetric difference.  One table says which: q1 sums the first two, q2
+the last two, q3 the dual-pivot-deletion and the deletion, Q1 all three.
+The element is the smallest-index one at which those minors are all
+proper (divisibility for q1, divisibility of the transformed system for
+q2/q3, strong divisibility for Q1); a node with no such element is a
+leaf with a closed-form value.  Under the hypothesis that
+``recursion_hypothesis`` states, each recursion agrees with the summation
+at any such element.  All of them, and Tutte's deletion/contraction in
+``matroids.tutte_dc``, run on one driver that takes the branch rule and
+expands each distinct minor once.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from .setsystem import Mask, SetSystem, full_flip_explicit
 if TYPE_CHECKING:
     from .matroids import BiPoly
 
-CHECK_LIMIT = 8  # hypotheses are verified automatically up to this ground size
+CHECK_LIMIT = 8  # checked=True verifies hypotheses up to this ground size
 
-Chooser = Literal["min", "max"]
 Poly = Union[UniPoly, "BiPoly"]  # BiPoly only in Tutte's deletion/contraction
 
 
@@ -73,10 +75,30 @@ class RecursionTrace:
         return "\n".join(lines)
 
 
-def _should_check(system: SetSystem, checked: Optional[bool]) -> bool:
-    if checked is None:
-        return system.ground.n <= CHECK_LIMIT
-    return checked
+_FLIPPED = {"q2": "dualpivot", "q3": "loopc"}  # q2 and q3 need a delta-matroid after this whole-ground flip
+_NEEDS = {  # the message of a failed hypothesis check
+    "q1": "a delta-matroid input",
+    "q2": "the dualpivot-transformed system to be a delta-matroid",
+    "q3": "the loopc-transformed system to be a delta-matroid",
+    "Q1": "a vf-closed delta-matroid input",
+}
+
+
+def recursion_hypothesis(system: SetSystem, which: Which) -> bool:
+    """Whether the system meets the hypothesis under which the recursion for which holds.
+
+    q1 needs a delta-matroid; q2 and q3 need one after the whole-ground
+    dual pivot or loop complementation; Q1 needs a vf-closed
+    delta-matroid (arXiv 1010.4678).  Only the cell limit bounds the check.
+    """
+    system.require_proper()
+    if which == "q1":
+        return is_delta_matroid(system)
+    if which in _FLIPPED:
+        return is_delta_matroid(full_flip_explicit(system, _FLIPPED[which]))
+    if which == "Q1":
+        return is_vf_closed(system)
+    raise ValueError(f"unknown polynomial name {which!r}")
 
 
 # A branch rule maps a system to None (a leaf) or to the branching element's
@@ -119,21 +141,31 @@ def _recurse(system: SetSystem, rule: Rule, leaf: Callable[[int], Poly]) -> tupl
     return trace.value, trace
 
 
-# Operation labels of the minors of SetSystem.minors, in its order, and which
-# of them each polynomial sums; an element branches when those are all proper.
+# Operation labels of the deletion, pivot-deletion and dual-pivot-deletion
+# minors, and which of them each polynomial sums; an element branches when
+# those are all proper.
 _OPS = ("\\{0}", "*{0}\\{0}", "~*{0}\\{0}")
 _BRANCHES = {"q1": (0, 1), "q2": (1, 2), "q3": (2, 0), "Q1": (0, 1, 2)}
 
 
-def _minor_rule(which: Which, chooser: Chooser) -> Rule:
-    """Branch on the first (or last) element whose minors listed for which are all proper."""
+def _minor_rule(which: Which) -> Rule:
+    """Branch on the first element whose minors listed for which are all proper.
+
+    The dual-pivot-deletion minor, the symmetric difference of the other
+    two, is proper iff they differ; it is built only at the element
+    branched on.
+    """
     picks = _BRANCHES[which]
 
     def rule(m: SetSystem) -> Optional[Branch]:
-        n = m.ground.n
-        for i in range(n) if chooser == "min" else reversed(range(n)):
-            minors = m.minors(1 << i)
-            if all(minors[k].family for k in picks):
+        for i in range(m.ground.n):
+            deletion, pivot_deletion = m.minors(1 << i)
+            proper = (deletion.family, pivot_deletion.family, deletion.family != pivot_deletion.family)
+            if all(proper[k] for k in picks):
+                minors = (deletion, pivot_deletion)
+                if 2 in picks:
+                    third = sorted(set(deletion.family).symmetric_difference(pivot_deletion.family))
+                    minors += (SetSystem(deletion.ground, tuple(third)),)
                 label = m.ground.labels[i]
                 return label, None, tuple((_OPS[k].format(label), minors[k]) for k in picks)
         return None
@@ -145,36 +177,38 @@ def _label(m: SetSystem, bit: Mask) -> str:
     return m.ground.labels[bit.bit_length() - 1]
 
 
+def _run(system: SetSystem, which: Which, checked: bool, rule: Rule) -> tuple[UniPoly, RecursionTrace]:
+    """Check the hypothesis of which at the root, then expand the rule down to
+    (y+1)^n leaves, or (y+2)^n for Q1."""
+    system.require_proper()
+    if checked and system.ground.n <= CHECK_LIMIT and not recursion_hypothesis(system, which):
+        raise PreconditionError(f"{which} recursion needs {_NEEDS[which]}")
+    return _recurse(system, rule, partial(UniPoly.binomial_power, 2 if which == "Q1" else 1))
+
+
 def q1_recursive(
     system: SetSystem,
-    checked: Optional[bool] = None,
-    chooser: Chooser = "min",
+    checked: bool = True,
     use_multiplicative: bool = False,
 ) -> tuple[UniPoly, RecursionTrace]:
     """Two-way deletion / pivot-deletion recursion for q1.
 
-    The input must be a delta-matroid for the recursion to agree with the
-    summation formula; this is verified up to the check limit unless
-    overridden.  With use_multiplicative the branching element is the
-    first (or last) one and loops and coloops take the factor y + 1.
+    It agrees with the summation formula on a delta-matroid (see
+    ``recursion_hypothesis``); checked verifies that up to ``CHECK_LIMIT``
+    elements.  With use_multiplicative the branching element is the first
+    one and loops and coloops take the factor y + 1.
     """
-    system.require_proper()
-    if _should_check(system, checked) and not is_delta_matroid(system):
-        raise PreconditionError("q1 recursion needs a delta-matroid input")
 
     def multiplicative(m: SetSystem) -> Optional[Branch]:
-        n = m.ground.n
-        if n == 0 or len(m.family) == 1:
+        if m.ground.n == 0 or len(m.family) == 1:
             return None
-        bit = 1 if chooser == "min" else 1 << (n - 1)
-        label = _label(m, bit)
-        case, factor, parts = q1_multiplicative_step(m, bit)
+        label = m.ground.labels[0]
+        case, factor, parts = q1_multiplicative_step(m, 1)
         deletion, pivot_deletion = (op.format(label) for op in _OPS[:2])
         ops = {"loop": (deletion,), "coloop": (pivot_deletion,), "additive": (deletion, pivot_deletion)}[case]
         return label, factor, tuple(zip(ops, parts))
 
-    rule = multiplicative if use_multiplicative else _minor_rule("q1", chooser)
-    return _recurse(system, rule, partial(UniPoly.binomial_power, 1))
+    return _run(system, "q1", checked, multiplicative if use_multiplicative else _minor_rule("q1"))
 
 
 def q1_multiplicative_step(system: SetSystem, element) -> tuple[str, Optional[UniPoly], tuple[SetSystem, ...]]:
@@ -187,7 +221,7 @@ def q1_multiplicative_step(system: SetSystem, element) -> tuple[str, Optional[Un
     two-way sum.
     """
     system.require_proper()
-    deletion, pivot_deletion, _ = system.minors(element)
+    deletion, pivot_deletion = system.minors(element)
     factor = UniPoly.from_coeffs([1, 1])
     if not pivot_deletion.family:
         return "loop", factor, (deletion,)
@@ -199,51 +233,46 @@ def q1_multiplicative_step(system: SetSystem, element) -> tuple[str, Optional[Un
 def q2_q3_recursive(
     system: SetSystem,
     which: Literal["q2", "q3"],
-    checked: Optional[bool] = None,
-    chooser: Chooser = "min",
+    checked: bool = True,
 ) -> tuple[UniPoly, RecursionTrace]:
     """Two-way recursion for q2 (pivot/dual-pivot branches) or q3 (dual-pivot/deletion).
 
     An element branches when both its minors are proper, which is
-    divisibility of the transformed system by it.  The delta-matroid
-    hypothesis on the transformed system is verified at the root when
-    checking is on; the recursion preserves it.
+    divisibility of the transformed system by it.  The hypothesis (see
+    ``recursion_hypothesis``) is verified at the root when checked, up to
+    ``CHECK_LIMIT`` elements; the recursion preserves it.
     """
-    system.require_proper()
-    if which not in ("q2", "q3"):
+    if which not in _FLIPPED:
         raise ValueError("which must be q2 or q3")
-    if _should_check(system, checked):
-        kind = "dualpivot" if which == "q2" else "loopc"
-        transformed = full_flip_explicit(system, kind)
-        if not is_delta_matroid(transformed):
-            raise PreconditionError(
-                f"{which} recursion needs the {kind}-transformed system to be a delta-matroid"
-            )
-    return _recurse(system, _minor_rule(which, chooser), partial(UniPoly.binomial_power, 1))
+    return _run(system, which, checked, _minor_rule(which))
 
 
-def Q1_recursive(
-    system: SetSystem,
-    checked: Optional[bool] = None,
-    chooser: Chooser = "min",
-) -> tuple[UniPoly, RecursionTrace]:
+def Q1_recursive(system: SetSystem, checked: bool = True) -> tuple[UniPoly, RecursionTrace]:
     """Three-way recursion for Q1 on vf-closed delta-matroids.
 
     vf-closure is required for correctness and is verified at the root
-    when checking is on; with checking off the result can disagree with
-    the summation formula (see recursion_consistency).
+    when checked, up to ``CHECK_LIMIT`` elements; unchecked, the result can
+    disagree with the summation formula (see recursion_consistency).
     """
-    system.require_proper()
-    if _should_check(system, checked) and not is_vf_closed(system):
-        raise PreconditionError("Q1 recursion needs a vf-closed delta-matroid input")
-    return _recurse(system, _minor_rule("Q1", chooser), partial(UniPoly.binomial_power, 2))
+    return _run(system, "Q1", checked, _minor_rule("Q1"))
+
+
+def recursive(system: SetSystem, which: Which, checked: bool = True) -> tuple[UniPoly, RecursionTrace]:
+    """The recursion for which: ``q1_recursive``, ``q2_q3_recursive`` or ``Q1_recursive``."""
+    if which == "q1":
+        return q1_recursive(system, checked)
+    if which in _FLIPPED:
+        return q2_q3_recursive(system, which, checked)
+    if which == "Q1":
+        return Q1_recursive(system, checked)
+    raise ValueError(f"unknown polynomial name {which!r}")
 
 
 def q1_normal_step(
     system: SetSystem,
     member,
     element=None,
-    checked: Optional[bool] = None,
+    checked: bool = True,
 ) -> tuple[UniPoly, RecursionTrace]:
     """One q1 step that keeps both components normal.
 
@@ -263,9 +292,8 @@ def q1_normal_step(
         bit = system.ground.coerce(element)
     if bit.bit_count() != 1 or not bit & x:
         raise PreconditionError("the removed element must lie in the chosen member")
-    if _should_check(system, checked):
-        if not is_delta_matroid(system):
-            raise PreconditionError("the normal-step rule needs a delta-matroid")
+    if checked and system.ground.n <= CHECK_LIMIT and not recursion_hypothesis(system, "q1"):
+        raise PreconditionError("the normal-step rule needs a delta-matroid")
     left = system.delete(bit)
     right = system.pivot(x).delete(bit)
     for part in (left, right):
@@ -282,7 +310,7 @@ def q2_edge_step(
     system: SetSystem,
     u,
     v,
-    checked: Optional[bool] = None,
+    checked: bool = True,
 ) -> tuple[UniPoly, RecursionTrace]:
     """Three-term q2 step for a two-element member whose singletons are absent.
 
@@ -300,7 +328,7 @@ def q2_edge_step(
         raise PreconditionError("edge-step hypothesis: the pair is a member, the singletons are not")
     if not system.is_normal:
         raise PreconditionError("the edge-step rule needs a normal system")
-    if _should_check(system, checked) and not is_vf_closed(system):
+    if checked and system.ground.n <= CHECK_LIMIT and not is_vf_closed(system):
         raise PreconditionError("the edge-step rule needs a vf-closed delta-matroid")
     parts = (
         system.pivot(pair).delete(pair),
@@ -342,12 +370,4 @@ def recursion_consistency(system: SetSystem, which: Which) -> ConsistencyReport:
     recursion hypothesis (for example Q1 on a delta-matroid that is not
     vf-closed).
     """
-    if which == "q1":
-        rec, _ = q1_recursive(system, checked=False)
-    elif which in ("q2", "q3"):
-        rec, _ = q2_q3_recursive(system, which, checked=False)
-    elif which == "Q1":
-        rec, _ = Q1_recursive(system, checked=False)
-    else:
-        raise ValueError(f"unknown polynomial name {which!r}")
-    return ConsistencyReport(which, rec, poly_direct(system, which))
+    return ConsistencyReport(which, recursive(system, which, checked=False)[0], poly_direct(system, which))

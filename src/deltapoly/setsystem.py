@@ -215,19 +215,26 @@ class SetSystem:
     def restrict(self, subset: Subset) -> "SetSystem":
         """Keep members contained in the subset; the ground set becomes the subset."""
         x = self.ground.coerce(subset)
-        kept = tuple(pack_bits(m, x) for m in self.family if not m & ~x)
-        return SetSystem(self.ground.restrict(x), kept)
+        kept = [m for m in self.family if not m & ~x]
+        cut = self.ground.full_mask & ~x
+        while cut:  # cut each bit outside x, highest first, out of the kept members as minors does
+            low = (1 << (cut.bit_length() - 1)) - 1
+            high = ~low
+            kept = [(m & low) | ((m >> 1) & high) for m in kept]
+            cut &= low
+        return SetSystem(self.ground.restrict(x), tuple(kept))
 
     def delete(self, subset: Subset) -> "SetSystem":
         x = self.ground.coerce(subset)
         return self.restrict(self.ground.full_mask & ~x)
 
-    def minors(self, element: Subset) -> tuple["SetSystem", "SetSystem", "SetSystem"]:
-        """The deletion F\\e, pivot-deletion F*e\\e and dual-pivot-deletion F~*e\\e.
+    def minors(self, element: Subset) -> tuple["SetSystem", "SetSystem"]:
+        """The deletion F\\e and the pivot-deletion F*e\\e.
 
         One pass over the family: the members without e and those with e,
-        bit e cut out of each, are the first two minors, and the third is
-        their symmetric difference.  Cutting the bit keeps ascending order.
+        bit e cut out of each.  Cutting the bit keeps ascending order.  The
+        dual-pivot-deletion F~*e\\e is the symmetric difference of the two
+        families, so it is proper iff they differ.
         """
         bit = self.ground.coerce(element)
         if bit.bit_count() != 1:
@@ -240,8 +247,7 @@ class SetSystem:
         i = low.bit_length()
         labels = self.ground.labels
         ground = GroundSet(labels[:i] + labels[i + 1 :])
-        third = tuple(sorted(set(without).symmetric_difference(with_e)))
-        return SetSystem(ground, tuple(without)), SetSystem(ground, tuple(with_e)), SetSystem(ground, third)
+        return SetSystem(ground, tuple(without)), SetSystem(ground, tuple(with_e))
 
 
 def pack_bits(value: Mask, mask: Mask) -> Mask:
@@ -276,30 +282,6 @@ def apply_vertex_flip(system: SetSystem, kind: FlipKind, subset: Subset) -> SetS
     if kind == "dualpivot":
         return system.dual_pivot(subset)
     raise ValueError(f"unknown flip kind {kind!r}")
-
-
-def restrict_delete(system: SetSystem, mode: Literal["restrict", "delete"], subset: Subset) -> SetSystem:
-    if mode == "restrict":
-        return system.restrict(subset)
-    if mode == "delete":
-        return system.delete(subset)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class VertexFlipWord:
-    """A sequence of (flip kind, subset mask) steps, applied left to right."""
-
-    steps: tuple[tuple[FlipKind, Mask], ...]
-
-    def apply(self, system: SetSystem) -> SetSystem:
-        out = system
-        for kind, mask in self.steps:
-            out = apply_vertex_flip(out, kind, mask)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 # -- whole-ground flips by their closed formulas ------------------------------

@@ -12,13 +12,12 @@ from deltapoly import (
     GroundSet,
     GroundSetError,
     Matroid,
-    Q1_recursive,
     SetSystem,
     binary_matroid_from_matrix,
     is_delta_matroid,
+    is_vf_closed,
     poly_direct,
     q1_recursive,
-    q2_q3_recursive,
     uniform_matroid,
 )
 from deltapoly.cli import (
@@ -259,7 +258,7 @@ def tree_inputs() -> dict:
 
 
 def tree_digests(tmp_path, capsys) -> dict:
-    """sha256 prefixes of every tree output and of the chooser and multiplicative renders."""
+    """sha256 prefixes of every tree output and of the multiplicative render."""
 
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -272,16 +271,8 @@ def tree_digests(tmp_path, capsys) -> dict:
             for fmt in ("json", "text"):
                 assert main(["tree", "--which", which, "--format", fmt, "--input", str(path)]) == 0
                 out[f"{name} {which} {fmt}"] = sha(capsys.readouterr().out)
-        renders = {
-            "q1 multiplicative": q1_recursive(system, use_multiplicative=True)[1],
-            "q1 max": q1_recursive(system, chooser="max")[1],
-            "q1 multiplicative max": q1_recursive(system, use_multiplicative=True, chooser="max")[1],
-            "q2 max": q2_q3_recursive(system, "q2", chooser="max")[1],
-            "q3 max": q2_q3_recursive(system, "q3", chooser="max")[1],
-            "Q1 max": Q1_recursive(system, checked=False, chooser="max")[1],
-        }
-        for label, trace in renders.items():
-            out[f"{name} {label} render"] = sha(trace.render())
+        _, trace = q1_recursive(system, use_multiplicative=True)
+        out[f"{name} q1 multiplicative render"] = sha(trace.render())
     return out
 
 
@@ -296,11 +287,6 @@ TREE_DIGESTS = {
     "M0 Q1 json": "f8a41b413c643c16",
     "M0 Q1 text": "c5a503f97bd65345",
     "M0 q1 multiplicative render": "3270687a2fbebc8c",
-    "M0 q1 max render": "713e4ed399cebd8f",
-    "M0 q1 multiplicative max render": "713e4ed399cebd8f",
-    "M0 q2 max render": "6e43effcc61716cf",
-    "M0 q3 max render": "19d1d31ce017141b",
-    "M0 Q1 max render": "4790242a9c1dacb9",
     "vf5 q1 json": "eb2e577fb830a52e",
     "vf5 q1 text": "113294dded5a3cb6",
     "vf5 q2 json": "5950b111fe95077d",
@@ -310,11 +296,6 @@ TREE_DIGESTS = {
     "vf5 Q1 json": "6818b9dfe61d6846",
     "vf5 Q1 text": "c36657f7d5a6f828",
     "vf5 q1 multiplicative render": "76ca15a0b3b12919",
-    "vf5 q1 max render": "0a541857668b3ce5",
-    "vf5 q1 multiplicative max render": "0479d1ade0605b83",
-    "vf5 q2 max render": "2af950a97c1d4aba",
-    "vf5 q3 max render": "60be2ffdeb9ac051",
-    "vf5 Q1 max render": "fdaa56b38ab56e53",
     "vf6 q1 json": "1c29842010ad0641",
     "vf6 q1 text": "92daca67751f034a",
     "vf6 q2 json": "fe191c66ac316ec1",
@@ -324,11 +305,6 @@ TREE_DIGESTS = {
     "vf6 Q1 json": "e9b4e9ae63bdecb9",
     "vf6 Q1 text": "0896ff6340327b50",
     "vf6 q1 multiplicative render": "04842901666de6ef",
-    "vf6 q1 max render": "f9ab5fda3a6d3468",
-    "vf6 q1 multiplicative max render": "e5c4195d6d520c12",
-    "vf6 q2 max render": "29de3c81da82c3f8",
-    "vf6 q3 max render": "32c9443dc6261761",
-    "vf6 Q1 max render": "3d56d6c5a5ec26d3",
 }
 
 
@@ -460,6 +436,31 @@ def test_cli_verify_checks_a_non_binary_input_once(tmp_path, capsys, monkeypatch
     out = capsys.readouterr().out
     assert "ok  q1 recursion vs direct" in out
     assert "ok  input not vf-closed; Q1 three-term sum differs from the direct value" in out
+
+
+def test_cli_verify_runs_q2_q3_where_their_hypotheses_hold(tmp_path, capsys):
+    # {∅, V} is not a delta-matroid, but its whole-ground dual pivot and loopc are
+    path = tmp_path / "ends.json"
+    doc = {"type": "setsystem", "ground": ["a", "b", "c"], "sets": [[], ["a", "b", "c"]]}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    recursion_lines = [line for line in lines if "recursion" in line or "Q1 three-term" in line]
+    assert recursion_lines == ["ok  q2 recursion vs direct", "ok  q3 recursion vs direct"]
+
+
+def test_cli_verify_runs_is_vf_closed_once(m0_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return is_vf_closed(s)
+
+    for module in ("deltapoly.cli", "deltapoly.recursion"):
+        monkeypatch.setattr(f"{module}.is_vf_closed", counting)
+    assert main(["verify", "--input", m0_path]) == 0
+    assert len(calls) == 1
+    assert "ok  Q1 recursion vs direct" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_from_graph_and_verify(triangle_path, capsys):

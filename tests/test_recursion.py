@@ -4,8 +4,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltapoly import (
+    GroundSet,
     PreconditionError,
     Q1_recursive,
     SetSystem,
@@ -20,7 +23,10 @@ from deltapoly import (
     q2_edge_step,
     q2_q3_recursive,
     recursion_consistency,
+    recursion_hypothesis,
+    recursive,
 )
+from deltapoly.recursion import CHECK_LIMIT
 from support import M0, random_graphs
 
 
@@ -91,8 +97,7 @@ def test_q1_variants_agree(delta_corpus):
         direct = poly_direct(system, "q1")
         plain, trace = q1_recursive(system, checked=False)
         fast, trace2 = q1_recursive(system, checked=False, use_multiplicative=True)
-        largest, _ = q1_recursive(system, checked=False, chooser="max")
-        assert plain == fast == largest == direct
+        assert plain == fast == direct
         assert check_trace(trace)
         assert check_trace(trace2)
 
@@ -172,15 +177,50 @@ def test_Q1_fixture_nine_copies():
     assert value.coeff_list() == [18, 9]
 
 
-def test_order_independence(vf_corpus):
-    for system in vf_corpus[:20]:
-        for which in ("q2", "q3"):
-            a, _ = q2_q3_recursive(system, which, checked=False)
-            b, _ = q2_q3_recursive(system, which, checked=False, chooser="max")
-            assert a == b
-        a, _ = Q1_recursive(system, checked=False)
-        b, _ = Q1_recursive(system, checked=False, chooser="max")
-        assert a == b
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_independence(delta_corpus, vf_corpus, data):
+    """Under its hypothesis a recursion's value does not depend on which element it removes first."""
+
+    def permuted(corpus):
+        system = data.draw(st.sampled_from(corpus))
+        order = data.draw(st.permutations(system.ground.labels))
+        return system, SetSystem.from_sets(order, map(system.ground.labels_of, system.family))
+
+    system, shuffled = permuted(delta_corpus)
+    assert q1_recursive(shuffled)[0] == poly_direct(system, "q1")
+    for which in ("q2", "q3"):
+        if recursion_hypothesis(system, which):
+            assert q2_q3_recursive(shuffled, which)[0] == poly_direct(system, which)
+    system, shuffled = permuted(vf_corpus)
+    for which in ("q2", "q3", "Q1"):
+        assert recursive(shuffled, which)[0] == poly_direct(system, which)
+
+
+@st.composite
+def small_proper_systems(draw):
+    n = draw(st.integers(1, 4))
+    members = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+    return SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(members))
+
+
+@given(small_proper_systems(), st.sampled_from(["q1", "q2", "q3", "Q1"]))
+@settings(max_examples=150, deadline=None)
+def test_checked_raises_exactly_off_hypothesis(system, which):
+    if recursion_hypothesis(system, which):
+        recursive(system, which)
+    else:
+        with pytest.raises(PreconditionError):
+            recursive(system, which)
+    recursive(system, which, checked=False)
+
+
+def test_checked_stops_at_the_check_limit():
+    n = CHECK_LIMIT + 1
+    ends = SetSystem(GroundSet(tuple(f"e{i}" for i in range(n))), (0, (1 << n) - 1))
+    assert not recursion_hypothesis(ends, "q1")
+    value, _ = q1_recursive(ends)  # no check above the limit, so no PreconditionError
+    assert value != poly_direct(ends, "q1")  # and off its hypothesis the recursion is wrong
 
 
 def test_q1_normal_step():

@@ -12,13 +12,11 @@ from deltapoly import (
     ImproperSystemError,
     SetSystem,
     SizeGuardError,
-    VertexFlipWord,
     apply_vertex_flip,
     distance,
     forced,
     full_flip_explicit,
     graph_to_system,
-    restrict_delete,
     vf_orbit,
 )
 from deltapoly.setsystem import pack_bits, scatter_bits
@@ -168,7 +166,10 @@ _WIDE = GroundSet(tuple(f"e{i}" for i in range(62)))
 def test_minors_match_the_flip_compositions(case):
     system, bit = case
     minors = system.minors(bit)
-    assert minors == (system.delete(bit), system.pivot(bit).delete(bit), system.dual_pivot(bit).delete(bit))
+    assert minors == (system.delete(bit), system.pivot(bit).delete(bit))
+    # the dual-pivot-deletion minor is the symmetric difference of the two
+    deletion, pivot_deletion = (set(minor.family) for minor in minors)
+    assert deletion ^ pivot_deletion == set(system.dual_pivot(bit).delete(bit).family)
     assert system.minors(system.ground.labels[bit.bit_length() - 1]) == minors
 
 
@@ -254,12 +255,27 @@ def test_restrict_delete_examples():
     assert M0.delete("p") == SetSystem.from_sets(["q", "r"], [[], ["q", "r"], ["r"]])
     assert M0.pivot("p").delete("p") == SetSystem.from_sets(["q", "r"], [[], ["q"]])
     assert M0.restrict(0) == SetSystem.from_sets([], [[]])
-    assert restrict_delete(M0, "restrict", ["q", "r"]) == SetSystem.from_sets(
-        ["q", "r"], [[], ["q", "r"], ["r"]]
-    )
+    assert M0.restrict(["q", "r"]) == SetSystem.from_sets(["q", "r"], [[], ["q", "r"], ["r"]])
     # deletion can produce an improper system: that is legal output
     gone = SetSystem.from_sets(["a", "b"], [["a", "b"]]).restrict("a")
     assert not gone.is_proper
+
+
+@st.composite
+def systems_with_subset(draw, max_n=5):
+    system = draw(systems(max_n))
+    return system, draw(st.integers(0, system.ground.full_mask))
+
+
+@given(systems_with_subset())
+@settings(max_examples=100)
+@example((M0, 0))
+@example((M0, M0.ground.full_mask))
+@example((SetSystem(_WIDE, (0, 3, 1 << 61, (1 << 61) | 5, _WIDE.full_mask)), (1 << 61) | 0b1011))
+@example((SetSystem(_WIDE, (0, 3, 1 << 61, (1 << 61) | 5, _WIDE.full_mask)), _WIDE.full_mask))
+def test_restrict_matches_pack_bits(case):
+    system, x = case
+    assert system.restrict(x).family == tuple(pack_bits(m, x) for m in system.family if not m & ~x)
 
 
 WORD62 = (1 << 62) - 1
@@ -289,9 +305,7 @@ def test_labels_survive_operations():
 
 
 def test_vertex_flip_word():
-    word = VertexFlipWord((("loopc", 7), ("pivot", 7)))
-    assert word.apply(M0) == FIG_ORBIT[2]
-    assert len(word) == 2
+    assert M0.loopc(7).pivot(7) == FIG_ORBIT[2]
 
 
 def test_orbit_full_alternation_matches_figure():

@@ -7,11 +7,11 @@ by a labelled ground set so they interoperate with set systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import cube
 from .errors import PivotUndefinedError, size_guard
-from .setsystem import GroundSet, SetSystem, Subset, pack_bits, scatter_bits
+from .setsystem import GroundSet, SetSystem, Subset, pack_bits
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
@@ -133,7 +133,7 @@ class Gf2Matrix:
     def principal(self, subset: Subset) -> "Gf2Matrix":
         """Principal submatrix on the elements of the subset, in ground order."""
         x = self.ground.coerce(subset)
-        rows = tuple(pack_bits(row, x) for i, row in enumerate(self.rows) if x >> i & 1)
+        rows = pack_bits([row for i, row in enumerate(self.rows) if x >> i & 1], x)
         return Gf2Matrix(self.ground.restrict(x), rows)
 
 
@@ -151,62 +151,31 @@ def det_nullity(matrix: Gf2Matrix, subset: Subset) -> tuple[int, int]:
     return (1 if rank == k else 0), k - rank
 
 
-def _invert(rows: Sequence[int], k: int) -> Optional[list[int]]:
-    """Inverse of a k x k bitmask matrix, or None if singular.
-
-    Row-reducing [A | I] reaches [I | A^-1] exactly when A is nonsingular.
-    """
-    low = (1 << k) - 1
-    reduced = gf2_row_reduce(rows[i] | 1 << (k + i) for i in range(k))
-    if any(r & low != 1 << j for j, r in enumerate(reduced)):
-        return None
-    return [r >> k for r in reduced]
-
-
-def _matmul(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
-    """Product of bitmask matrices: a is rows over len(b_rows) columns."""
-    out = []
-    for arow in a_rows:
-        acc = 0
-        r = arow
-        while r:
-            low = r & -r
-            acc ^= b_rows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return out
-
-
 def ppt(matrix: Gf2Matrix, subset: Subset) -> Gf2Matrix:
-    """Principal pivot transform on a nonsingular principal submatrix.
+    """Principal pivot transform on a nonsingular principal submatrix A[X].
 
-    Over GF(2) the block formula has no signs: the pivoted block is
-    inverted, the off-diagonal blocks are multiplied through the inverse,
-    and the complementary block becomes its Schur complement.
+    The transform exchanges x_X and y_X in y = Ax (Tsatsomeros,
+    "Principal pivot transforms: properties and applications", Linear
+    Algebra Appl. 307, 2000): it is the matrix B with B(y_X, x_X') =
+    (x_X, y_X'), X' the complement.  Moving the unknowns to the left gives
+    L(x_X, y_X') = R(y_X, x_X'), where row j of L is A's row j on X plus
+    e_j when j is not in X, and row j of R is e_j when j is in X plus A's
+    row j off X.  L is nonsingular exactly when A[X] is, and then B is
+    L^-1 R: one Gauss-Jordan reduction of [L | R] reaches [I | B].  Over
+    GF(2) there are no signs.
     """
     x = matrix.ground.coerce(subset)
-    if x == 0:
-        return matrix
-    n = matrix.n
-    rest = matrix.ground.full_mask & ~x
-    pos = [i for i in range(n) if x >> i & 1]
-    others = [i for i in range(n) if rest >> i & 1]
-    p_rows = [pack_bits(matrix.rows[i], x) for i in pos]
-    p_inv = _invert(p_rows, len(pos))
-    if p_inv is None:
+    n, full = matrix.n, matrix.ground.full_mask
+    rest = full & ~x
+    augmented = []
+    for j, row in enumerate(matrix.rows):
+        e = 1 << j
+        left, right = (row & x) | (e & rest), (e & x) | (row & rest)
+        augmented.append(left | right << n)
+    reduced = gf2_row_reduce(augmented)
+    if [r & full for r in reduced] != [1 << j for j in range(n)]:
         raise PivotUndefinedError("principal submatrix is singular")
-    q_rows = [pack_bits(matrix.rows[i], rest) for i in pos]
-    r_rows = [pack_bits(matrix.rows[i], x) for i in others]
-    s_rows = [pack_bits(matrix.rows[i], rest) for i in others]
-    piq = _matmul(p_inv, q_rows)  # pivot rows over rest columns
-    rpi = _matmul(r_rows, p_inv)  # rest rows over pivot columns
-    rpiq = _matmul(rpi, q_rows)  # rest rows over rest columns
-    new_rows = [0] * n
-    for idx, i in enumerate(pos):
-        new_rows[i] = scatter_bits(p_inv[idx], x) | scatter_bits(piq[idx], rest)
-    for idx, i in enumerate(others):
-        new_rows[i] = scatter_bits(rpi[idx], x) | scatter_bits(s_rows[idx] ^ rpiq[idx], rest)
-    return Gf2Matrix(matrix.ground, tuple(new_rows))
+    return Gf2Matrix(matrix.ground, tuple(r >> n for r in reduced))
 
 
 def schur_complement(matrix: Gf2Matrix, subset: Subset) -> Gf2Matrix:

@@ -45,14 +45,6 @@ class UniPoly:
         return cls({0: value})
 
     @classmethod
-    def y(cls) -> "UniPoly":
-        return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "UniPoly":
-        return cls({degree: coeff})
-
-    @classmethod
     def from_coeffs(cls, ascending: list[int]) -> "UniPoly":
         return cls({d: v for d, v in enumerate(ascending)})
 
@@ -66,12 +58,6 @@ class UniPoly:
     @property
     def degree(self) -> int:
         return max(self._c) if self._c else 0
-
-    def coeff(self, degree: int) -> int:
-        return self._c.get(degree, 0)
-
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._c)
 
     def coeff_list(self) -> list[int]:
         """Ascending coefficient list; the zero polynomial prints as [0]."""
@@ -148,10 +134,6 @@ class UniPoly:
         return out
 
 
-def evaluate(poly: UniPoly, at: int) -> int:
-    return poly.evaluate(at)
-
-
 class MultiQPoly:
     """Exponent table of the multivariate interlace polynomial.
 
@@ -183,9 +165,6 @@ class MultiQPoly:
     def a_mask(self, key: tuple[Mask, Mask]) -> Mask:
         b, c = key
         return self.ground.full_mask & ~(b | c)
-
-    def exponent(self, b: Mask, c: Mask) -> int:
-        return self.entries[(b, c)]
 
     def specialize(self, which: Which) -> UniPoly:
         """Apply the 0/1 weight substitution and collect surviving monomials."""
@@ -253,10 +232,6 @@ def multivariate_Q(system: SetSystem) -> MultiQPoly:
     return MultiQPoly(system.ground, entries)
 
 
-def specialize(table: MultiQPoly, which: Which) -> UniPoly:
-    return table.specialize(which)
-
-
 def permute_Q_under_flip(table: MultiQPoly, kind, subset) -> MultiQPoly:
     """Relabel monomial keys to obtain the table of the flipped system.
 
@@ -298,7 +273,7 @@ def poly_direct(system: SetSystem, which: Which) -> UniPoly:
     The sums run on the whole-cube indicator kernel of ``cube``: distance
     balls for q1 and Q1, a Gray-code walk of loop complementations for
     q2, q3 and Q1.  No multivariate table is built; agreement with the
-    brute-force specialize(multivariate_Q(...)) is a standing oracle.
+    brute-force multivariate_Q(...).specialize(which) is a standing oracle.
     """
     system.require_proper()
     if which not in _COUNTS:

@@ -64,9 +64,6 @@ class BiPoly:
                 c[(i, j)] = c.get((i, j), 0) + ci * cj
         return cls(c)
 
-    def coeffs(self) -> dict[tuple[int, int], int]:
-        return dict(self._c)
-
     def __add__(self, other: "BiPoly") -> "BiPoly":
         c = dict(self._c)
         for k, v in other._c.items():
@@ -348,13 +345,13 @@ def tutte_evaluations(matroid: Matroid, p: int) -> TutteEvalReport:
     return TutteEvalReport(p, value, d, None, k, divisible, k_odd, k_congruent)
 
 
-def fundamental_graph(matroid: Matroid, basis: Subset, check: bool = True) -> Graph:
+def fundamental_graph(matroid: Matroid, basis: Subset) -> Graph:
     """Bipartite loopless graph joining a basis element to the non-basis
     elements whose fundamental circuit contains it.  A basis element b is
     in the fundamental circuit of e iff the toggle by b and e is a basis.
 
     The support system of the result, pivoted on the basis, recovers the
-    matroid; this is verified unless check is disabled.
+    matroid; this is verified on every call.
     """
     b = matroid.ground.coerce(basis)
     bases = set(matroid.carrier.family)
@@ -374,8 +371,6 @@ def fundamental_graph(matroid: Matroid, basis: Subset, check: bool = True) -> Gr
                 rows[low.bit_length() - 1] |= ebit
                 rows[j] |= low
     graph = Graph(Gf2Matrix(matroid.ground, tuple(rows)))
-    if check:
-        recovered = graph_to_system(graph).pivot(b)
-        if recovered != matroid.carrier:
-            raise PreconditionError("fundamental graph does not recover the matroid")
+    if graph_to_system(graph).pivot(b) != matroid.carrier:
+        raise PreconditionError("fundamental graph does not recover the matroid")
     return graph

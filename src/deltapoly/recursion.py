@@ -177,12 +177,18 @@ def _label(m: SetSystem, bit: Mask) -> str:
     return m.ground.labels[bit.bit_length() - 1]
 
 
+def _check(system: SetSystem, which: Which, checked: bool, message: str) -> None:
+    """Raise PreconditionError(message) when checked, the ground set is at most
+    ``CHECK_LIMIT`` elements and the hypothesis of which fails."""
+    if checked and system.ground.n <= CHECK_LIMIT and not recursion_hypothesis(system, which):
+        raise PreconditionError(message)
+
+
 def _run(system: SetSystem, which: Which, checked: bool, rule: Rule) -> tuple[UniPoly, RecursionTrace]:
     """Check the hypothesis of which at the root, then expand the rule down to
     (y+1)^n leaves, or (y+2)^n for Q1."""
     system.require_proper()
-    if checked and system.ground.n <= CHECK_LIMIT and not recursion_hypothesis(system, which):
-        raise PreconditionError(f"{which} recursion needs {_NEEDS[which]}")
+    _check(system, which, checked, f"{which} recursion needs {_NEEDS[which]}")
     return _recurse(system, rule, partial(UniPoly.binomial_power, 2 if which == "Q1" else 1))
 
 
@@ -292,8 +298,7 @@ def q1_normal_step(
         bit = system.ground.coerce(element)
     if bit.bit_count() != 1 or not bit & x:
         raise PreconditionError("the removed element must lie in the chosen member")
-    if checked and system.ground.n <= CHECK_LIMIT and not recursion_hypothesis(system, "q1"):
-        raise PreconditionError("the normal-step rule needs a delta-matroid")
+    _check(system, "q1", checked, "the normal-step rule needs a delta-matroid")
     left = system.delete(bit)
     right = system.pivot(x).delete(bit)
     for part in (left, right):
@@ -328,8 +333,7 @@ def q2_edge_step(
         raise PreconditionError("edge-step hypothesis: the pair is a member, the singletons are not")
     if not system.is_normal:
         raise PreconditionError("the edge-step rule needs a normal system")
-    if checked and system.ground.n <= CHECK_LIMIT and not is_vf_closed(system):
-        raise PreconditionError("the edge-step rule needs a vf-closed delta-matroid")
+    _check(system, "Q1", checked, "the edge-step rule needs a vf-closed delta-matroid")
     parts = (
         system.pivot(pair).delete(pair),
         system.pivot(ub).dual_pivot(vb).delete(pair),

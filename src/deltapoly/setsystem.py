@@ -103,15 +103,6 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class SystemClass:
-    """Derived predicates of a set system."""
-
-    proper: bool
-    normal: bool
-    equicardinal: bool
-
-
-@dataclass(frozen=True)
 class SetSystem:
     """Immutable set system: ground set plus canonically sorted family of masks."""
 
@@ -152,9 +143,6 @@ class SetSystem:
     def __contains__(self, mask: Mask) -> bool:
         return mask in self.family
 
-    def members(self) -> tuple[Mask, ...]:
-        return self.family
-
     @property
     def is_proper(self) -> bool:
         return bool(self.family)
@@ -167,9 +155,6 @@ class SetSystem:
     def is_equicardinal(self) -> bool:
         sizes = {m.bit_count() for m in self.family}
         return len(sizes) <= 1
-
-    def classify(self) -> SystemClass:
-        return SystemClass(self.is_proper, self.is_normal, self.is_equicardinal)
 
     def require_proper(self) -> None:
         if not self.family:
@@ -215,14 +200,7 @@ class SetSystem:
     def restrict(self, subset: Subset) -> "SetSystem":
         """Keep members contained in the subset; the ground set becomes the subset."""
         x = self.ground.coerce(subset)
-        kept = [m for m in self.family if not m & ~x]
-        cut = self.ground.full_mask & ~x
-        while cut:  # cut each bit outside x, highest first, out of the kept members as minors does
-            low = (1 << (cut.bit_length() - 1)) - 1
-            high = ~low
-            kept = [(m & low) | ((m >> 1) & high) for m in kept]
-            cut &= low
-        return SetSystem(self.ground.restrict(x), tuple(kept))
+        return SetSystem(self.ground.restrict(x), pack_bits([m for m in self.family if not m & ~x], x))
 
     def delete(self, subset: Subset) -> "SetSystem":
         x = self.ground.coerce(subset)
@@ -250,38 +228,20 @@ class SetSystem:
         return SetSystem(ground, tuple(without)), SetSystem(ground, tuple(with_e))
 
 
-def pack_bits(value: Mask, mask: Mask) -> Mask:
-    """The bits of value at the positions of mask, moved down to 0, 1, 2, ..."""
-    packed = 0
-    value &= mask
-    while value:
-        low = value & -value
-        packed |= 1 << (mask & (low - 1)).bit_count()
-        value ^= low
-    return packed
+def pack_bits(values: Iterable[Mask], mask: Mask) -> tuple[Mask, ...]:
+    """The bits of each value at the positions of mask, moved down to 0, 1, 2, ...
 
-
-def scatter_bits(packed: Mask, mask: Mask) -> Mask:
-    """Inverse of pack_bits: bit j of packed moves to the j-th position of mask."""
-    out = 0
-    while packed and mask:
-        low = mask & -mask
-        if packed & 1:
-            out |= low
-        packed >>= 1
-        mask ^= low
-    return out
-
-
-def apply_vertex_flip(system: SetSystem, kind: FlipKind, subset: Subset) -> SetSystem:
-    """Apply one of the three vertex flips on a subset of the ground set."""
-    if kind == "pivot":
-        return system.pivot(subset)
-    if kind == "loopc":
-        return system.loopc(subset)
-    if kind == "dualpivot":
-        return system.dual_pivot(subset)
-    raise ValueError(f"unknown flip kind {kind!r}")
+    Each bit outside mask is cut out, highest first, as ``minors`` cuts
+    one: the bits below it stay and those above it move down one place.
+    """
+    out = [v & mask for v in values]
+    cut = ((1 << mask.bit_length()) - 1) & ~mask
+    while cut:
+        low = (1 << (cut.bit_length() - 1)) - 1
+        high = ~low
+        out = [(v & low) | ((v >> 1) & high) for v in out]
+        cut &= low
+    return tuple(out)
 
 
 # -- whole-ground flips by their closed formulas ------------------------------

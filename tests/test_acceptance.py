@@ -34,7 +34,6 @@ from deltapoly import (
     q1_recursive,
     q2_q3_recursive,
     recursion_consistency,
-    specialize,
     support_set_system,
     system_to_graph,
     tutte,
@@ -160,7 +159,7 @@ def test_criterion_06_oracle_equivalence(delta_corpus, vf_corpus):
     for system in delta_corpus[:100] + vf_corpus:
         table = multivariate_Q(system)
         for which in ("Q1", "q1", "q2", "q3"):
-            assert specialize(table, which) == poly_direct(system, which)
+            assert table.specialize(which) == poly_direct(system, which)
     _done(6, "recursive and definitional routes agree on the corpora", t0, 300.0)
 
 

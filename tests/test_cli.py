@@ -14,6 +14,7 @@ from deltapoly import (
     Matroid,
     SetSystem,
     binary_matroid_from_matrix,
+    full_flip_explicit,
     is_delta_matroid,
     is_vf_closed,
     poly_direct,
@@ -461,6 +462,20 @@ def test_cli_verify_runs_is_vf_closed_once(m0_path, capsys, monkeypatch):
     assert main(["verify", "--input", m0_path]) == 0
     assert len(calls) == 1
     assert "ok  Q1 recursion vs direct" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_verify_reads_q2_q3_off_vf_closure(m0_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(system, kind):
+        calls.append(kind)
+        return full_flip_explicit(system, kind)
+
+    monkeypatch.setattr("deltapoly.recursion.full_flip_explicit", counting)
+    assert main(["verify", "--input", m0_path]) == 0
+    assert calls == []
+    out = capsys.readouterr().out.splitlines()
+    assert "ok  q2 recursion vs direct" in out and "ok  q3 recursion vs direct" in out
 
 
 def test_cli_from_graph_and_verify(triangle_path, capsys):

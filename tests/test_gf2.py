@@ -153,6 +153,26 @@ def test_ppt_works_on_general_square_matrices(a):
             break
 
 
+@given(square_matrices(max_n=7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ppt_exchanges_the_pivoted_coordinates(a, data):
+    """With y = Av, ppt(A, X) maps (y_X, v_X') to (v_X, y_X') for every v, X' the complement."""
+    x = data.draw(st.integers(0, a.ground.full_mask))
+    if not det_nullity(a, x)[0]:
+        with pytest.raises(PivotUndefinedError):
+            ppt(a, x)
+        return
+    b = ppt(a, x)
+    rest = a.ground.full_mask & ~x
+
+    def times(m, v):  # the product m v over GF(2)
+        return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(m.rows))
+
+    for v in range(1 << a.n):
+        y = times(a, v)
+        assert times(b, (y & x) | (v & rest)) == (v & x) | (y & rest)
+
+
 def test_ppt_composition_and_support_commutation():
     rng = random.Random(60)
     for _ in range(200):

@@ -17,7 +17,6 @@ from deltapoly import (
     UniPoly,
     distance,
     dual_pivot_min_distance,
-    evaluate,
     forced,
     full_flip_explicit,
     fundamental_graph,
@@ -30,7 +29,6 @@ from deltapoly import (
     permute_Q_under_flip,
     poly_direct,
     recursion_consistency,
-    specialize,
     support_set_system,
     tutte,
     tutte_diagonal_check,
@@ -71,12 +69,12 @@ def test_golden_polynomials():
 def test_multivariate_table_shape():
     table = multivariate_Q(M0)
     assert len(table) == 27
-    assert table.exponent(M0.ground.full_mask, 0) == 1
+    assert table.entries[(M0.ground.full_mask, 0)] == 1
     point = SetSystem.from_sets([], [[]])
     tiny = multivariate_Q(point)
     assert len(tiny) == 1
     for which in ("Q1", "q1", "q2", "q3"):
-        assert specialize(tiny, which) == UniPoly.const(1)
+        assert tiny.specialize(which) == UniPoly.const(1)
         assert poly_direct(point, which) == UniPoly.const(1)
     for kind in ("pivot", "loopc", "dualpivot"):
         assert full_flip_explicit(point, kind) == point
@@ -93,7 +91,7 @@ def test_specialize_equals_direct(delta_corpus, vf_corpus):
     for system in delta_corpus[:60] + vf_corpus[:40]:
         table = multivariate_Q(system)
         for which in ("Q1", "q1", "q2", "q3"):
-            assert specialize(table, which) == poly_direct(system, which)
+            assert table.specialize(which) == poly_direct(system, which)
 
 
 def test_improper_rejected():
@@ -229,30 +227,30 @@ def test_normal_decomposition(vf_corpus):
 
 
 def test_value_examples_golden():
-    assert evaluate(poly_direct(M0, "q1"), 1) == 8
-    assert evaluate(poly_direct(M0, "Q1"), 1) == 27
-    assert evaluate(poly_direct(M0, "q1"), 0) == 5
+    assert poly_direct(M0, "q1").evaluate(1) == 8
+    assert poly_direct(M0, "Q1").evaluate(1) == 27
+    assert poly_direct(M0, "q1").evaluate(0) == 5
 
 
 def test_value_identities(delta_corpus):
     for system in delta_corpus[:80]:
         n = system.ground.n
         for which in ("q1", "q2", "q3"):
-            assert evaluate(poly_direct(system, which), 1) == 2**n
-        assert evaluate(poly_direct(system, "Q1"), 1) == 3**n
-        assert evaluate(poly_direct(system, "q1"), 0) == len(system)
+            assert poly_direct(system, which).evaluate(1) == 2**n
+        assert poly_direct(system, "Q1").evaluate(1) == 3**n
+        assert poly_direct(system, "q1").evaluate(0) == len(system)
 
 
 def test_even_evaluation_and_counterexample(delta_corpus):
     for system in delta_corpus[:120]:
         if system.ground.n > 0 and is_even(system):
-            assert evaluate(poly_direct(system, "q1"), -1) == 0
+            assert poly_direct(system, "q1").evaluate(-1) == 0
     # without evenness the value is generally nonzero
     labels = ["a", "b", "c"]
     power = SetSystem(GroundSet(tuple(labels)), tuple(range(8)))
     q1 = poly_direct(power, "q1")
     assert q1 == UniPoly.const(8)
-    assert evaluate(q1, -1) == 8
+    assert q1.evaluate(-1) == 8
 
 
 def test_vf_closed_evaluations(vf_corpus):
@@ -261,12 +259,12 @@ def test_vf_closed_evaluations(vf_corpus):
         sign = (-1) ** n
         full = system.ground.full_mask
         if n > 0:
-            assert evaluate(poly_direct(system, "Q1"), -2) == 0
+            assert poly_direct(system, "Q1").evaluate(-2) == 0
         d_dual = dual_pivot_min_distance(system)
-        assert evaluate(poly_direct(system, "q1"), -2) == sign * (-2) ** d_dual
-        assert evaluate(poly_direct(system, "q2"), -2) == sign * (-2) ** distance(system, 0)
+        assert poly_direct(system, "q1").evaluate(-2) == sign * (-2) ** d_dual
+        assert poly_direct(system, "q2").evaluate(-2) == sign * (-2) ** distance(system, 0)
         d_star = distance(system.pivot(full), 0)
-        assert evaluate(poly_direct(system, "q3"), -2) == sign * (-2) ** d_star
+        assert poly_direct(system, "q3").evaluate(-2) == sign * (-2) ** d_star
 
 
 def test_modular_evaluations_weak_forms(vf_corpus):

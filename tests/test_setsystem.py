@@ -12,14 +12,13 @@ from deltapoly import (
     ImproperSystemError,
     SetSystem,
     SizeGuardError,
-    apply_vertex_flip,
     distance,
     forced,
     full_flip_explicit,
     graph_to_system,
     vf_orbit,
 )
-from deltapoly.setsystem import pack_bits, scatter_bits
+from deltapoly.setsystem import pack_bits
 from support import FIG_ORBIT, M0, random_graph
 
 
@@ -79,14 +78,11 @@ def test_ascending_family_is_kept_and_still_checked():
             SetSystem(g, mixed)
 
 
-def test_classify_examples():
-    c = M0.classify()
-    assert c.proper and c.normal and not c.equicardinal
+def test_predicate_examples():
+    assert M0.is_proper and M0.is_normal and not M0.is_equicardinal
     empty_ground = SetSystem.from_sets([], [[]])
-    c = empty_ground.classify()
-    assert c.proper and c.normal and c.equicardinal
-    improper = SetSystem.from_sets(["a", "b"], [])
-    assert not improper.classify().proper
+    assert empty_ground.is_proper and empty_ground.is_normal and empty_ground.is_equicardinal
+    assert not SetSystem.from_sets(["a", "b"], []).is_proper
 
 
 def test_pivot_examples():
@@ -139,9 +135,8 @@ def test_full_flip_explicit_equals_composition(system):
 @settings(max_examples=80)
 def test_flips_are_involutions(case):
     system, bit = case
-    for kind in ("pivot", "loopc", "dualpivot"):
-        twice = apply_vertex_flip(apply_vertex_flip(system, kind, bit), kind, bit)
-        assert twice == system
+    for flip in (SetSystem.pivot, SetSystem.loopc, SetSystem.dual_pivot):
+        assert flip(flip(system, bit), bit) == system
 
 
 @given(proper_systems_with_element())
@@ -201,11 +196,11 @@ def test_multi_element_flips_are_order_independent(system, rnd):
     x = rnd.randrange(1 << n)
     bits = [1 << i for i in range(n) if x >> i & 1]
     rnd.shuffle(bits)
-    for kind in ("loopc", "dualpivot"):
+    for flip in (SetSystem.loopc, SetSystem.dual_pivot):
         shuffled = system
         for bit in bits:
-            shuffled = apply_vertex_flip(shuffled, kind, bit)
-        assert shuffled == apply_vertex_flip(system, kind, x)
+            shuffled = flip(shuffled, bit)
+        assert shuffled == flip(system, x)
 
 
 @given(systems(max_n=5))
@@ -214,11 +209,10 @@ def test_distinct_element_flips_commute(system):
     if system.ground.n < 2:
         return
     u, v = 1, 2
-    for a in ("pivot", "loopc", "dualpivot"):
-        for b in ("pivot", "loopc", "dualpivot"):
-            one = apply_vertex_flip(apply_vertex_flip(system, a, u), b, v)
-            two = apply_vertex_flip(apply_vertex_flip(system, b, v), a, u)
-            assert one == two
+    flips = (SetSystem.pivot, SetSystem.loopc, SetSystem.dual_pivot)
+    for a in flips:
+        for b in flips:
+            assert b(a(system, u), v) == a(b(system, v), u)
 
 
 @given(systems(max_n=5))
@@ -275,27 +269,23 @@ def systems_with_subset(draw, max_n=5):
 @example((SetSystem(_WIDE, (0, 3, 1 << 61, (1 << 61) | 5, _WIDE.full_mask)), _WIDE.full_mask))
 def test_restrict_matches_pack_bits(case):
     system, x = case
-    assert system.restrict(x).family == tuple(pack_bits(m, x) for m in system.family if not m & ~x)
+
+    def pack_one(value, mask):  # the per-bit oracle: bit at the k-th position of mask -> bit k
+        packed = 0
+        for k, i in enumerate(i for i in range(mask.bit_length()) if mask >> i & 1):
+            packed |= (value >> i & 1) << k
+        return packed
+
+    kept = [m for m in system.family if not m & ~x]
+    assert system.restrict(x).family == tuple(pack_one(m, x) for m in kept)
+    assert pack_bits(system.family, x) == tuple(pack_one(m, x) for m in system.family)
 
 
-WORD62 = (1 << 62) - 1
-
-
-@given(st.integers(0, WORD62), st.integers(0, WORD62))
-@settings(max_examples=200)
-@example(WORD62, 0)
-@example(WORD62, WORD62)
-@example(0b1011_0110, WORD62)
-@example(0, 0b1110)
-def test_pack_scatter_roundtrip(value, mask):
-    assert scatter_bits(pack_bits(value, mask), mask) == value & mask
-    assert pack_bits(scatter_bits(value, mask), mask) == value & ((1 << mask.bit_count()) - 1)
-
-
-def test_pack_scatter_examples():
-    assert pack_bits(0b1010, 0b1110) == 0b101
-    assert scatter_bits(0b101, 0b1110) == 0b1010
-    assert pack_bits(0b1111, 0) == scatter_bits(0b1111, 0) == 0
+def test_pack_bits_examples():
+    assert pack_bits([0b1010, 0b0110, 0], 0b1110) == (0b101, 0b011, 0)
+    assert pack_bits([0b1111], 0) == (0,)
+    assert pack_bits([(1 << 62) - 1, 1 << 61], (1 << 61) | 1) == (0b11, 0b10)
+    assert pack_bits([], 0b101) == ()
 
 
 def test_labels_survive_operations():

@@ -329,221 +329,171 @@ def apply_operation_word(system: SetSystem, word: str) -> SetSystem:
 
 # -- command handlers ------------------------------------------------------------
 
+# how a refusal names the documents that a command reading each kind of value takes
+_NEEDS = {
+    Graph: "a graph",
+    Gf2Matrix: "a matrix",
+    Matroid: "a matroid or representation",
+    Representation: "a representation",
+}
+
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
-def _print_poly(poly: UniPoly, fmt: str) -> None:
-    if fmt == "json":
-        print(_coefficients_text(poly))
-    else:
-        print(poly.text())
+def _coerce(value, kind: type, command: str):
+    """The parsed document as the kind of value its command reads.
 
-
-def _as_matroid(value, command: str) -> Matroid:
-    if isinstance(value, Representation):
-        return binary_matroid_from_matrix(value)
-    if isinstance(value, Matroid):
-        return value
-    raise DocumentError(f"{command} needs a matroid or representation document")
-
-
-def _as_setsystem(value) -> SetSystem:
-    if isinstance(value, SetSystem):
-        return value
-    if isinstance(value, Graph):
+    Every document type becomes a set system: a graph by its adjacency
+    matrix, a matrix by its support system, a representation by its binary
+    matroid and a matroid by its basis system.  A matroid command also takes
+    a representation; ``object`` takes the document as parsed.  Any other
+    pairing is an input error.
+    """
+    if kind is SetSystem and isinstance(value, Graph):
         value = value.matrix
-    if isinstance(value, Gf2Matrix):
-        return support_set_system(value)
-    return _as_matroid(value, "this command").carrier
+    if kind is SetSystem and isinstance(value, Gf2Matrix):
+        value = support_set_system(value)
+    if kind in (SetSystem, Matroid) and isinstance(value, Representation):
+        value = binary_matroid_from_matrix(value)
+    if kind is SetSystem and isinstance(value, Matroid):
+        value = value.carrier
+    if not isinstance(value, kind):
+        raise DocumentError(f"{command} needs {_NEEDS[kind]} document")
+    return value
 
 
-def cmd_validate(args) -> int:
-    value = parse_document(_read_input(args.input))
-    print(emit_document(value))
-    return EXIT_OK
+def _shown(args, json_text, text) -> str:
+    """The output in the command's ``--format``; each rendering is a function, called only if chosen."""
+    return json_text() if args.format == "json" else text()
 
 
-def cmd_apply(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
-    result = apply_operation_word(system, args.word)
-    print(emit_document(result))
-    return EXIT_OK
+def cmd_validate(value, args) -> str:
+    return emit_document(value)
 
 
-def cmd_poly(args) -> int:
-    value = parse_document(_read_input(args.input))
+def cmd_apply(system: SetSystem, args) -> str:
+    return emit_document(apply_operation_word(system, args.word))
+
+
+def cmd_poly(value, args) -> str:
     if args.which == "Q":
-        system = _as_setsystem(value)
-        table = multivariate_Q(system)
-        if args.format == "json":
-            print(json.dumps(table.to_records(), separators=(",", ":")))
-        else:
-            for rec in table.to_records():
-                print(rec)
-        return EXIT_OK
+        records = multivariate_Q(_coerce(value, SetSystem, args.command)).to_records()
+        return _shown(args, lambda: json.dumps(records, separators=(",", ":")), lambda: "\n".join(map(str, records)))
     if isinstance(value, Graph) and not args.via_system:
         poly = graph_poly(value, args.which)
     else:
-        poly = poly_direct(_as_setsystem(value), args.which)
-    _print_poly(poly, args.format)
-    return EXIT_OK
+        poly = poly_direct(_coerce(value, SetSystem, args.command), args.which)
+    return _shown(args, lambda: _coefficients_text(poly), poly.text)
 
 
-def cmd_eval(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
-    poly = poly_direct(system, args.which)
-    print(poly.evaluate(args.at))
-    return EXIT_OK
+def cmd_eval(system: SetSystem, args) -> str:
+    return str(poly_direct(system, args.which).evaluate(args.at))
 
 
-def cmd_check(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+def cmd_check(system: SetSystem, args) -> str:
     if args.predicate == "dm":
         result: Any = is_delta_matroid(system)
     elif args.predicate == "even":
         result = is_even(system)
     elif args.predicate == "vfclosed":
         result = is_vf_closed(system)
-    elif args.predicate == "divisible":
+    else:
         if not args.element:
             raise DocumentError("check divisible needs --element")
         status: DivisibilityStatus = divisibility(system, args.element)
         result = {"divisible": status.divisible, "strongly_divisible": status.strongly_divisible}
-    else:
-        raise DocumentError(f"unknown predicate {args.predicate}")
-    print(json.dumps(result, separators=(",", ":")))
-    return EXIT_OK
+    return json.dumps(result, separators=(",", ":"))
 
 
-def cmd_orbit(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+def cmd_orbit(system: SetSystem, args) -> str:
     gen = "fullV-alternation" if args.generators == "fullv" else "all-single-element-flips"
-    systems = vf_orbit(system, gen)
-    print("[" + ",".join([emit_document(s) for s in systems]) + "]")
-    return EXIT_OK
+    return "[" + ",".join([emit_document(s) for s in vf_orbit(system, gen)]) + "]"
 
 
-def cmd_tree(args) -> int:
-    system = _as_setsystem(parse_document(_read_input(args.input)))
+def cmd_tree(system: SetSystem, args) -> str:
     _, trace = recursive(system, args.which)
-    if args.format == "json":
-        print(_tree_text(trace))
-    else:
-        print(trace.render())
-    return EXIT_OK
+    return _shown(args, lambda: _tree_text(trace), trace.render)
 
 
-def cmd_from_graph(args) -> int:
-    value = parse_document(_read_input(args.input))
-    if not isinstance(value, Graph):
-        raise DocumentError("from-graph needs a graph document")
-    matrix = emit_document(value.matrix)
-    system = emit_document(support_set_system(value.matrix))
-    print(f'{{"matrix":{matrix},"setsystem":{system}}}')
-    return EXIT_OK
+def cmd_from_graph(graph: Graph, args) -> str:
+    matrix = emit_document(graph.matrix)
+    system = emit_document(support_set_system(graph.matrix))
+    return f'{{"matrix":{matrix},"setsystem":{system}}}'
 
 
-def cmd_from_matrix(args) -> int:
-    value = parse_document(_read_input(args.input))
-    if not isinstance(value, Gf2Matrix):
-        raise DocumentError("from-matrix needs a matrix document")
-    print(emit_document(support_set_system(value)))
-    return EXIT_OK
+def cmd_from_matrix(matrix: Gf2Matrix, args) -> str:
+    return emit_document(support_set_system(matrix))
 
 
-def cmd_ppt(args) -> int:
-    value = parse_document(_read_input(args.input))
-    if not isinstance(value, Gf2Matrix):
-        raise DocumentError("ppt needs a matrix document")
+def cmd_ppt(matrix: Gf2Matrix, args) -> str:
     labels = _parse_label_list(args.on)
-    result = ppt(value, value.ground.mask_of(labels))
-    print(emit_document(result))
-    return EXIT_OK
+    return emit_document(ppt(matrix, matrix.ground.mask_of(labels)))
 
 
-def cmd_tutte(args) -> int:
-    poly = tutte(_as_matroid(parse_document(_read_input(args.input)), "tutte"))
-    if args.format == "json":
-        print(json.dumps(poly.to_records(), separators=(",", ":")))
-    else:
-        print(poly.text())
-    return EXIT_OK
+def cmd_tutte(matroid: Matroid, args) -> str:
+    poly = tutte(matroid)
+    return _shown(args, lambda: json.dumps(poly.to_records(), separators=(",", ":")), poly.text)
 
 
-def cmd_bicycle_dim(args) -> int:
-    value = parse_document(_read_input(args.input))
-    if not isinstance(value, Representation):
-        raise DocumentError("bicycle-dim needs a representation document")
-    print(bicycle_dimension(value))
-    return EXIT_OK
+def cmd_bicycle_dim(rep: Representation, args) -> str:
+    return str(bicycle_dimension(rep))
 
 
-def cmd_fundamental_graph(args) -> int:
-    matroid = _as_matroid(parse_document(_read_input(args.input)), "fundamental-graph")
-    graph = fundamental_graph(matroid, _parse_label_list(args.basis))
-    print(emit_document(graph))
-    return EXIT_OK
+def cmd_fundamental_graph(matroid: Matroid, args) -> str:
+    return emit_document(fundamental_graph(matroid, _parse_label_list(args.basis)))
 
 
-def cmd_verify(args) -> int:
-    """Cross-oracle identity suites on one input; exit 1 on any mismatch."""
-    value = parse_document(_read_input(args.input))
+def cmd_verify(value, args) -> tuple[str, int]:
+    """Cross-oracle identity suites on one document: the report, and exit 1 on any mismatch."""
     lines: list[tuple[str, bool]] = []
 
     def add(name: str, ok: bool) -> None:
         lines.append((name, ok))
 
-    if isinstance(value, Gf2Matrix):
-        value = support_set_system(value)
-    if isinstance(value, Graph):
-        system = support_set_system(value.matrix)
-        for which in ("q1", "q2", "q3", "Q1"):
-            add(f"graph-vs-setsystem {which}", graph_poly(value, which) == poly_direct(system, which))
-        add("graph roundtrip", system_to_graph(system) == value)
-        value = system
-    if isinstance(value, Representation):
-        value = binary_matroid_from_matrix(value)
-    if isinstance(value, Matroid):
-        t = tutte(value)
-        add("tutte rank-sum vs deletion-contraction", t == tutte_dc(value))
-        q1 = poly_direct(value.carrier, "q1")
-        add("tutte diagonal vs shifted q1", t.diagonal() == q1.shift_variable(-1))
-        rep = value.representation
-        if rep is not None:
-            ok = bicycle_dimension(rep) == dual_pivot_min_distance(value.carrier)
-            add("bicycle dimension vs dual-pivot distance", ok)
-        value = value.carrier
-    if isinstance(value, SetSystem):
-        system = value
-        if system.n <= args.limit:
-            table = multivariate_Q(system)
-            names = ("Q1", "q1", "q2", "q3")
-            direct = {which: poly_direct(system, which) for which in names}
-            for which, poly in direct.items():
-                add(f"multivariate specialization {which}", table.specialize(which) == poly)
-            # vf-closure implies the other three hypotheses; is_delta_matroid keeps its
-            # verdict, so Q1, q1 and the note below pay it once
-            vf_closed = recursion_hypothesis(system, "Q1")
-            for which in ("q1", "q2", "q3", "Q1"):
-                if vf_closed or which != "Q1" and recursion_hypothesis(system, which):
-                    rec, _ = recursive(system, which, checked=False)
-                    add(f"{which} recursion vs direct", rec == direct[which])
-                elif which == "Q1" and is_delta_matroid(system):
-                    rec, _ = recursive(system, which, checked=False)
-                    note = "happens to match" if rec == direct[which] else "differs from"
-                    add(f"input not vf-closed; Q1 three-term sum {note} the direct value", True)
+    graph = value if isinstance(value, Graph) else None
+    matroid = _coerce(value, Matroid, args.command) if isinstance(value, (Matroid, Representation)) else None
+    system = _coerce(value if matroid is None else matroid, SetSystem, args.command)
+    # each direct polynomial is computed where it is first compared, then reused
+    direct = functools.cache(lambda which: poly_direct(system, which))
 
-    failed = False
-    for name, ok in lines:
-        print(f"{'ok' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failed = True
-    return EXIT_MATH if failed else EXIT_OK
+    if graph is not None:
+        for which in ("q1", "q2", "q3", "Q1"):
+            add(f"graph-vs-setsystem {which}", graph_poly(graph, which) == direct(which))
+        add("graph roundtrip", system_to_graph(system) == graph)
+    if matroid is not None:
+        t = tutte(matroid)
+        add("tutte rank-sum vs deletion-contraction", t == tutte_dc(matroid))
+        add("tutte diagonal vs shifted q1", t.diagonal() == direct("q1").shift_variable(-1))
+        rep = matroid.representation
+        if rep is not None:
+            ok = bicycle_dimension(rep) == dual_pivot_min_distance(system)
+            add("bicycle dimension vs dual-pivot distance", ok)
+    if system.n <= args.limit:
+        table = multivariate_Q(system)
+        for which in ("Q1", "q1", "q2", "q3"):
+            add(f"multivariate specialization {which}", table.specialize(which) == direct(which))
+        # vf-closure implies the other three hypotheses; is_delta_matroid keeps its
+        # verdict, so the Q1 and q1 hypotheses and the note below compute it once
+        vf_closed = recursion_hypothesis(system, "Q1")
+        for which in ("q1", "q2", "q3", "Q1"):
+            if vf_closed or which != "Q1" and recursion_hypothesis(system, which):
+                rec, _ = recursive(system, which, checked=False)
+                add(f"{which} recursion vs direct", rec == direct(which))
+            elif which == "Q1" and is_delta_matroid(system):
+                rec, _ = recursive(system, which, checked=False)
+                note = "happens to match" if rec == direct(which) else "differs from"
+                add(f"input not vf-closed; Q1 three-term sum {note} the direct value", True)
+
+    report = "\n".join(f"{'ok' if ok else 'FAIL'}  {name}" for name, ok in lines)
+    return report, EXIT_OK if all(ok for _, ok in lines) else EXIT_MATH
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -554,80 +504,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="deltapoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, func, reads: type, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose handler ``func`` gets the input document as a ``reads`` value."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", required=True, help="input document path, or - for stdin")
         p.add_argument("--force", action="store_true", help="override the cell limit")
+        p.set_defaults(func=func, reads=reads)
+        return p
 
-    p = sub.add_parser("validate", help="parse and re-emit a document canonically")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, object, help="parse and re-emit a document canonically")
 
-    p = sub.add_parser("apply", help="apply an operation word to a set system")
-    common(p)
+    p = command("apply", cmd_apply, SetSystem, help="apply an operation word to a set system")
     p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("poly", help="compute an interlace-family polynomial")
-    common(p)
+    p = command("poly", cmd_poly, object, help="compute an interlace-family polynomial")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3", "Q"), required=True)
     p.add_argument("--via-system", action="store_true", help="route graphs through the set system")
-    p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("eval", help="evaluate a polynomial at an integer")
-    common(p)
+    p = command("eval", cmd_eval, SetSystem, help="evaluate a polynomial at an integer")
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3"), required=True)
     p.add_argument("--at", type=int, required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check", help="predicate checks")
-    common(p)
+    p = command("check", cmd_check, SetSystem, help="predicate checks")
     p.add_argument("predicate", choices=("dm", "even", "vfclosed", "divisible"))
     p.add_argument("--element")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("orbit", help="vertex-flip orbit of a set system")
-    common(p)
+    p = command("orbit", cmd_orbit, SetSystem, help="vertex-flip orbit of a set system")
     p.add_argument("--generators", choices=("fullv", "single"), default="fullv")
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("tree", help="recursive computation tree")
-    common(p)
+    p = command("tree", cmd_tree, SetSystem, help="recursive computation tree")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3"), required=True)
-    p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("from-graph", help="graph to matrix and set-system forms")
-    common(p)
-    p.set_defaults(func=cmd_from_graph)
+    command("from-graph", cmd_from_graph, Graph, help="graph to matrix and set-system forms")
 
-    p = sub.add_parser("from-matrix", help="support set system of a matrix")
-    common(p)
-    p.set_defaults(func=cmd_from_matrix)
+    command("from-matrix", cmd_from_matrix, Gf2Matrix, help="support set system of a matrix")
 
-    p = sub.add_parser("ppt", help="principal pivot transform of a matrix")
-    common(p)
+    p = command("ppt", cmd_ppt, Gf2Matrix, help="principal pivot transform of a matrix")
     p.add_argument("--on", required=True, help="comma-separated pivot elements")
-    p.set_defaults(func=cmd_ppt)
 
-    p = sub.add_parser("tutte", help="Tutte polynomial of a matroid")
-    common(p)
+    p = command("tutte", cmd_tutte, Matroid, help="Tutte polynomial of a matroid")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_tutte)
 
-    p = sub.add_parser("bicycle-dim", help="bicycle-space dimension of a representation")
-    common(p)
-    p.set_defaults(func=cmd_bicycle_dim)
+    command("bicycle-dim", cmd_bicycle_dim, Representation, help="bicycle-space dimension of a representation")
 
-    p = sub.add_parser("fundamental-graph", help="fundamental graph of a matroid basis")
-    common(p)
+    p = command("fundamental-graph", cmd_fundamental_graph, Matroid, help="fundamental graph of a matroid basis")
     p.add_argument("--basis", required=True, help="comma-separated basis elements")
-    p.set_defaults(func=cmd_fundamental_graph)
 
-    p = sub.add_parser("verify", help="run the cross-oracle identity suites")
-    common(p)
+    p = command("verify", cmd_verify, object, help="run the cross-oracle identity suites")
     p.add_argument("--limit", type=int, default=8, help="skip exponential suites above this size")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -637,13 +563,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with forced() if args.force else nullcontext():
-            return args.func(args)
+            value = _coerce(parse_document(_read_input(args.input)), args.reads, args.command)
+            shown = args.func(value, args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MATH_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MATH
+    text, code = shown if isinstance(shown, tuple) else (shown, EXIT_OK)
+    if text:  # a verify report can be empty, and then nothing is printed
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

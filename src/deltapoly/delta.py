@@ -16,8 +16,9 @@ def _per_system(predicate):
     """Keep a predicate's verdict for each live system, keyed weakly by value.
 
     ``is_vf_closed`` asks ``is_delta_matroid`` and ``_is_binary`` about its
-    input, and ``cmd_verify`` asks both public predicates in turn, so each
-    verdict is computed once while the system object is alive.
+    input, and the CLI's ``verify`` asks for the Q1 and q1 recursion
+    hypotheses of one system (``is_vf_closed``, then ``is_delta_matroid``),
+    so each verdict is computed once while the system object is alive.
     """
     verdicts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 

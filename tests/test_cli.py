@@ -637,3 +637,79 @@ def test_cli_stdin(m0_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(M0_DOC))
     assert main(["poly", "--which", "q2", "--input", "-"]) == 0
     assert capsys.readouterr().out.strip() == "[3,4,1]"
+
+
+def test_cli_unreadable_input_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"type": "setsystem", "ground": ["\xe9"], "sets": [[]]}')
+    for path in (missing, latin1):
+        assert main(["validate", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.err.count("\n") == 1
+
+
+COERCION_DOCS = {
+    "setsystem": M0_DOC,
+    "graph": TRIANGLE_DOC,
+    "matrix": json.dumps({"type": "matrix", "labels": ["p", "q", "r"], "rows": [[1, 1, 1], [1, 0, 1], [1, 1, 1]]}),
+    "matroid": json.dumps(
+        {"type": "matroid", "ground": ["p", "q", "r"], "bases": [["p", "q"], ["p", "r"], ["q", "r"]]}
+    ),
+    "representation": json.dumps(
+        {"type": "representation", "columns": ["p", "q", "r"], "rows": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}
+    ),
+}
+
+ANY_DOC = set(COERCION_DOCS)
+
+# each command with the least flags it needs, and the document types it reads
+COMMAND_READS = (
+    (["validate"], ANY_DOC),
+    (["apply", "--word", "+p"], ANY_DOC),
+    (["poly", "--which", "q1"], ANY_DOC),
+    (["eval", "--which", "q1", "--at", "1"], ANY_DOC),
+    (["check", "dm"], ANY_DOC),
+    (["orbit"], ANY_DOC),
+    (["tree", "--which", "q1"], ANY_DOC),
+    (["verify"], ANY_DOC),
+    (["from-graph"], {"graph"}),
+    (["from-matrix"], {"matrix"}),
+    (["ppt", "--on", "p"], {"matrix"}),
+    (["tutte"], {"matroid", "representation"}),
+    (["fundamental-graph", "--basis", "p,q"], {"matroid", "representation"}),
+    (["bicycle-dim"], {"representation"}),
+)
+
+
+@pytest.mark.parametrize("doc_type", sorted(COERCION_DOCS))
+@pytest.mark.parametrize("command, reads", COMMAND_READS, ids=[c[0] for c, _ in COMMAND_READS])
+def test_cli_commands_read_their_document_types(command, reads, doc_type, tmp_path, capsys):
+    path = tmp_path / f"{doc_type}.json"
+    path.write_text(COERCION_DOCS[doc_type])
+    code = main([*command, "--input", str(path)])
+    captured = capsys.readouterr()
+    if doc_type in reads:
+        assert (code, captured.err) == (0, "")
+        assert "FAIL" not in captured.out
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {command[0]} needs a {' or '.join(sorted(reads))} document\n"
+
+
+@pytest.mark.parametrize("doc_type", ("graph", "matroid", "representation"))
+def test_cli_verify_computes_each_direct_polynomial_once(doc_type, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"{doc_type}.json"
+    path.write_text(COERCION_DOCS[doc_type])
+    calls = []
+
+    def counting(system, which):
+        calls.append(which)
+        return poly_direct(system, which)
+
+    monkeypatch.setattr("deltapoly.cli.poly_direct", counting)
+    assert main(["verify", "--input", str(path)]) == 0
+    assert sorted(calls) == ["Q1", "q1", "q2", "q3"]
+    assert "FAIL" not in capsys.readouterr().out

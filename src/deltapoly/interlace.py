@@ -1,14 +1,17 @@
 """Exact-integer interlace polynomials on set systems.
 
-UniPoly is a sparse univariate polynomial over the integers.  MultiQPoly
-tabulates, for every ordered partition (A, B, C) of the ground set, the
-minimum-distance exponent of the system pivoted on B and dual-pivoted on
-C; the four named polynomials Q1, q1, q2, q3 arise by substituting 0/1
-weights per partition slot.
+UniPoly is a sparse univariate polynomial over the integers; it shares
+its arithmetic and printer with matroids.BiPoly through SparsePoly.
+MultiQPoly tabulates, for every ordered partition (A, B, C) of the ground
+set, the minimum-distance exponent of the system pivoted on B and
+dual-pivoted on C; the four named polynomials Q1, q1, q2, q3 arise by
+substituting 0/1 weights per partition slot.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from math import comb
 from typing import Literal
 
@@ -19,41 +22,100 @@ from .setsystem import Mask, SetSystem, iter_submasks
 Which = Literal["Q1", "q1", "q2", "q3"]
 
 
-class UniPoly:
-    """Univariate polynomial with arbitrary-precision integer coefficients."""
+class SparsePoly:
+    """Sparse polynomial with arbitrary-precision integer coefficients.
+
+    The coefficient dict maps a key to its coefficient and holds no zero.
+    A subclass names its variables and says how a key maps to their
+    exponents (``_exponents``), how a product adds two keys (``_join``)
+    and which key the constant term has (``CONST_KEY``).
+    """
 
     __slots__ = ("_c",)
+    VARIABLES: tuple[str, ...]
+    CONST_KEY: object
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        c = {}
-        if coeffs:
-            for d, v in coeffs.items():
-                if v:
-                    if d < 0:
-                        raise ValueError("negative degree")
-                    c[d] = v
+    def __init__(self, coeffs: dict | None = None):
+        c = {k: v for k, v in coeffs.items() if v} if coeffs else {}
+        if any(min(self._exponents(k)) < 0 for k in c):
+            raise ValueError("negative exponent")
         self._c = c
 
-    # -- constructors ---------------------------------------------------------
+    @classmethod
+    def _make(cls, c: dict) -> SparsePoly:
+        """Wrap coefficients whose keys are known to be valid, dropping zeros."""
+        p = cls.__new__(cls)
+        p._c = {k: v for k, v in c.items() if v}
+        return p
 
     @classmethod
-    def zero(cls) -> "UniPoly":
+    def zero(cls) -> SparsePoly:
         return cls()
 
     @classmethod
-    def const(cls, value: int) -> "UniPoly":
-        return cls({0: value})
+    def const(cls, value: int) -> SparsePoly:
+        return cls({cls.CONST_KEY: value})
+
+    def __add__(self, other: SparsePoly) -> SparsePoly:
+        c = dict(self._c)
+        for k, v in other._c.items():
+            c[k] = c.get(k, 0) + v
+        return self._make(c)
+
+    def __sub__(self, other: SparsePoly) -> SparsePoly:
+        return self + other.scale(-1)
+
+    def __mul__(self, other: SparsePoly) -> SparsePoly:
+        join = self._join
+        c: dict = {}
+        for k1, v1 in self._c.items():
+            for k2, v2 in other._c.items():
+                k = join(k1, k2)
+                c[k] = c.get(k, 0) + v1 * v2
+        return self._make(c)
+
+    def scale(self, k: int) -> SparsePoly:
+        return self._make({key: k * v for key, v in self._c.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self._c.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()})"
+
+    def text(self) -> str:
+        """Terms by descending key; a coefficient of 1 or -1 shows only on the constant."""
+        out = ""
+        for k in sorted(self._c, reverse=True):
+            v = self._c[k]
+            powers = "".join(
+                name if e == 1 else f"{name}^{e}" for name, e in zip(self.VARIABLES, self._exponents(k)) if e
+            )
+            sign = ("-" if v < 0 else "") if not out else (" - " if v < 0 else " + ")
+            out += sign + ("" if abs(v) == 1 and powers else str(abs(v))) + powers
+        return out or "0"
+
+
+class UniPoly(SparsePoly):
+    """Polynomial in y, keyed by the exponent of y."""
+
+    __slots__ = ()
+    VARIABLES = ("y",)
+    CONST_KEY = 0
+    _exponents = staticmethod(lambda d: (d,))
+    _join = staticmethod(operator.add)
 
     @classmethod
     def from_coeffs(cls, ascending: list[int]) -> "UniPoly":
-        return cls({d: v for d, v in enumerate(ascending)})
+        return cls._make(dict(enumerate(ascending)))
 
     @classmethod
     def binomial_power(cls, shift: int, exponent: int) -> "UniPoly":
         """(y + shift) ** exponent, expanded exactly."""
-        return cls({k: comb(exponent, k) * shift ** (exponent - k) for k in range(exponent + 1)})
-
-    # -- views ----------------------------------------------------------------
+        return cls._make({k: comb(exponent, k) * shift ** (exponent - k) for k in range(exponent + 1)})
 
     @property
     def degree(self) -> int:
@@ -66,37 +128,6 @@ class UniPoly:
         top = max(self._c)
         return [self._c.get(d, 0) for d in range(top + 1)]
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        c = dict(self._c)
-        for d, v in other._c.items():
-            c[d] = c.get(d, 0) + v
-        return UniPoly(c)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        c = dict(self._c)
-        for d, v in other._c.items():
-            c[d] = c.get(d, 0) - v
-        return UniPoly(c)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        c: dict[int, int] = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
-                d = d1 + d2
-                c[d] = c.get(d, 0) + v1 * v2
-        return UniPoly(c)
-
-    def scale(self, k: int) -> "UniPoly":
-        return UniPoly({d: k * v for d, v in self._c.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UniPoly) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
-
     def evaluate(self, at: int) -> int:
         total = 0
         for d, v in self._c.items():
@@ -108,29 +139,6 @@ class UniPoly:
         out = UniPoly.zero()
         for d, v in self._c.items():
             out = out + UniPoly.binomial_power(offset, d).scale(v)
-        return out
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.text()})"
-
-    def text(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for d in sorted(self._c, reverse=True):
-            v = self._c[d]
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if d == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else str(mag)
-                body = f"{head}y" if d == 1 else f"{head}y^{d}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
         return out
 
 
@@ -167,27 +175,22 @@ class MultiQPoly:
         return self.ground.full_mask & ~(b | c)
 
     def specialize(self, which: Which) -> UniPoly:
-        """Apply the 0/1 weight substitution and collect surviving monomials."""
-        coeffs: dict[int, int] = {}
-        if which == "Q1":
-            for d in self.entries.values():
-                coeffs[d] = coeffs.get(d, 0) + 1
-        elif which == "q1":
-            for (b, c), d in self.entries.items():
-                if c == 0:
-                    coeffs[d] = coeffs.get(d, 0) + 1
-        elif which == "q2":
-            full = self.ground.full_mask
-            for (b, c), d in self.entries.items():
-                if (b | c) == full:
-                    coeffs[d] = coeffs.get(d, 0) + 1
-        elif which == "q3":
-            for (b, c), d in self.entries.items():
-                if b == 0:
-                    coeffs[d] = coeffs.get(d, 0) + 1
-        else:
+        """Apply the 0/1 weight substitution and collect surviving monomials.
+
+        Q1 keeps every monomial, q1 those with C empty, q2 those with A
+        empty and q3 those with B empty.
+        """
+        full = self.ground.full_mask
+        keeps = {
+            "Q1": lambda b, c: True,
+            "q1": lambda b, c: not c,
+            "q2": lambda b, c: b | c == full,
+            "q3": lambda b, c: not b,
+        }
+        if which not in keeps:
             raise ValueError(f"unknown specialization {which!r}")
-        return UniPoly(coeffs)
+        keep = keeps[which]
+        return UniPoly(Counter(d for (b, c), d in self.entries.items() if keep(b, c)))
 
     def to_records(self) -> list[dict]:
         """Serializable monomial list, sorted by (B, C) masks."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Optional, Sequence
 
 from . import cube
@@ -19,31 +18,19 @@ from .delta import is_delta_matroid
 from .errors import PreconditionError, size_guard
 from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, pack_rows, unpack_rows
 from .graphs import Graph, graph_to_system
-from .interlace import UniPoly, poly_direct
+from .interlace import SparsePoly, UniPoly, poly_direct
 from .recursion import _recurse, q1_multiplicative_step
 from .setsystem import GroundSet, Mask, SetSystem, Subset, distance, full_flip_explicit
 
 
-class BiPoly:
-    """Sparse two-variable polynomial with exact integer coefficients."""
+class BiPoly(SparsePoly):
+    """Polynomial in x and y, keyed by the exponent pair (a, b) of x^a y^b."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    c[k] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, value: int) -> "BiPoly":
-        return cls({(0, 0): value})
+    __slots__ = ()
+    VARIABLES = ("x", "y")
+    CONST_KEY = (0, 0)
+    _exponents = staticmethod(tuple)
+    _join = staticmethod(lambda p, q: (p[0] + q[0], p[1] + q[1]))
 
     @classmethod
     def x(cls) -> "BiPoly":
@@ -56,36 +43,9 @@ class BiPoly:
     @classmethod
     def shifted_powers(cls, x_exp: int, y_exp: int) -> "BiPoly":
         """(x - 1) ** x_exp * (y - 1) ** y_exp, expanded exactly."""
-        c: dict[tuple[int, int], int] = {}
-        for i in range(x_exp + 1):
-            ci = comb(x_exp, i) * (-1) ** (x_exp - i)
-            for j in range(y_exp + 1):
-                cj = comb(y_exp, j) * (-1) ** (y_exp - j)
-                c[(i, j)] = c.get((i, j), 0) + ci * cj
-        return cls(c)
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return BiPoly(c)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        c: dict[tuple[int, int], int] = {}
-        for (a1, b1), v1 in self._c.items():
-            for (a2, b2), v2 in other._c.items():
-                k = (a1 + a2, b1 + b2)
-                c[k] = c.get(k, 0) + v1 * v2
-        return BiPoly(c)
-
-    def scale(self, k: int) -> "BiPoly":
-        return BiPoly({key: k * v for key, v in self._c.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPoly) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        xs = UniPoly.binomial_power(-1, x_exp)._c.items()
+        ys = UniPoly.binomial_power(-1, y_exp)._c.items()
+        return cls._make({(i, j): ci * cj for i, ci in xs for j, cj in ys})
 
     def evaluate(self, at_x: int, at_y: int) -> int:
         return sum(v * at_x**a * at_y**b for (a, b), v in self._c.items())
@@ -95,35 +55,13 @@ class BiPoly:
         c: dict[int, int] = {}
         for (a, b), v in self._c.items():
             c[a + b] = c.get(a + b, 0) + v
-        return UniPoly(c)
+        return UniPoly._make(c)
 
     def to_records(self) -> list[dict]:
         return [
             {"x": a, "y": b, "c": self._c[(a, b)]}
             for (a, b) in sorted(self._c)
         ]
-
-    def text(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self._c, reverse=True):
-            v = self._c[(a, b)]
-            term = ""
-            if abs(v) != 1 or (a, b) == (0, 0):
-                term += str(abs(v))
-            if a:
-                term += "x" if a == 1 else f"x^{a}"
-            if b:
-                term += "y" if b == 1 else f"y^{b}"
-            parts.append(("-" if v < 0 else "+", term))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.text()})"
 
 
 @dataclass(frozen=True)

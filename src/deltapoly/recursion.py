@@ -19,19 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Literal, Optional, Union
+from typing import Callable, Literal, Optional
 
 from .delta import is_delta_matroid, is_vf_closed
 from .errors import PreconditionError
-from .interlace import UniPoly, Which, poly_direct
+from .interlace import SparsePoly as Poly, UniPoly, Which, poly_direct
 from .setsystem import Mask, SetSystem, full_flip_explicit
 
-if TYPE_CHECKING:
-    from .matroids import BiPoly
-
 CHECK_LIMIT = 8  # checked=True verifies hypotheses up to this ground size
-
-Poly = Union[UniPoly, "BiPoly"]  # BiPoly only in Tutte's deletion/contraction
 
 
 @dataclass(frozen=True)

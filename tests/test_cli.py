@@ -545,7 +545,8 @@ def test_cli_tutte_and_verify_on_16_columns(tmp_path, capsys):
     assert sum(r["c"] for r in records) == len(binary_matroid_from_matrix(rep).bases())  # T(1, 1)
     assert main(["verify", "--input", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 and all(line.startswith("ok  ") for line in lines)
+    assert len(lines) == 4 and all(line.startswith("ok  ") for line in lines[:3])
+    assert lines[3] == "skip  multivariate and recursion suites: 16 elements, above --limit 8"
 
 
 def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
@@ -628,7 +629,13 @@ def test_cli_verify_force_above_the_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--force", "--input", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 and all(line.startswith("ok  ") for line in lines)
+    assert len(lines) == 4 and all(line.startswith("ok  ") for line in lines[:3])
+    assert lines[3] == "skip  multivariate and recursion suites: 21 elements, above --limit 8"
+
+
+def test_cli_verify_above_the_limit_says_what_it_skipped(m0_path, capsys):
+    assert main(["verify", "--limit", "2", "--input", m0_path]) == 0
+    assert capsys.readouterr().out == "skip  multivariate and recursion suites: 3 elements, above --limit 2\n"
 
 
 def test_cli_stdin(m0_path, capsys, monkeypatch):

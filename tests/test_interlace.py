@@ -9,6 +9,7 @@ import pytest
 
 import deltapoly
 from deltapoly import (
+    BiPoly,
     Graph,
     GroundSet,
     ImproperSystemError,
@@ -50,6 +51,36 @@ def test_unipoly_arithmetic():
     assert p.evaluate(-2) == -1
     assert UniPoly.zero().coeff_list() == [0]
     assert p.text() == "3y + 5"
+
+
+def test_polynomial_printer_golden():
+    x, y = BiPoly.x(), BiPoly.y()
+    cases = [
+        (UniPoly.zero(), "0"),
+        (UniPoly.const(-1), "-1"),
+        (UniPoly({3: -2, 1: 1, 0: -1}), "-2y^3 + y - 1"),
+        (UniPoly.from_coeffs([1, -1]), "-y + 1"),
+        (UniPoly.binomial_power(-1, 3), "y^3 - 3y^2 + 3y - 1"),
+        (UniPoly.from_coeffs([1, 2, 1]) - UniPoly.from_coeffs([1, 0, 3]), "-2y^2 + 2y"),
+        (UniPoly.from_coeffs([0, 1]) - UniPoly.from_coeffs([0, 1]), "0"),
+        (BiPoly.zero(), "0"),
+        (BiPoly.const(-1), "-1"),
+        (BiPoly({(2, 3): -1, (1, 0): 2, (0, 0): -1}), "-x^2y^3 + 2x - 1"),
+        (BiPoly({(0, 3): -2, (0, 1): 1, (0, 0): -1}), "-2y^3 + y - 1"),
+        (BiPoly.shifted_powers(1, 1), "xy - x - y + 1"),
+        (x + y.scale(-1), "x - y"),
+        (x * x * y.scale(-3) + x.scale(-1), "-3x^2y - x"),
+    ]
+    for poly, text in cases:
+        assert poly.text() == text
+        assert repr(poly) == f"{type(poly).__name__}({text})"
+
+
+def test_polynomials_refuse_negative_exponents():
+    for poly, key in ((BiPoly, (-1, 2)), (BiPoly, (2, -1)), (UniPoly, -1)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            poly({key: 3})
+        assert poly({key: 0}) == poly.zero()  # a zero coefficient is dropped, not checked
 
 
 def test_unipoly_shift_variable():

@@ -43,7 +43,7 @@ from .matroids import (
     tutte,
     tutte_dc,
 )
-from .recursion import RecursionTrace, recursion_hypothesis, recursive
+from .recursion import RecursionTrace, graph_recursive, recursion_hypothesis, recursive
 from .setsystem import GroundSet, SetSystem, vf_orbit
 
 EXIT_OK = 0
@@ -388,7 +388,8 @@ def cmd_poly(value, args) -> str:
         records = multivariate_Q(_coerce(value, SetSystem, args.command)).to_records()
         return _shown(args, lambda: json.dumps(records, separators=(",", ":")), lambda: "\n".join(map(str, records)))
     if isinstance(value, Graph) and not args.via_system:
-        poly = graph_poly(value, args.which)
+        # q1, q3 and Q1 by the recursion on the adjacency matrix; q2 by its nullity sum
+        poly = graph_poly(value, "q2") if args.which == "q2" else graph_recursive(value, args.which)
     else:
         poly = poly_direct(_coerce(value, SetSystem, args.command), args.which)
     return _shown(args, lambda: _coefficients_text(poly), poly.text)
@@ -466,7 +467,10 @@ def cmd_verify(value, args) -> tuple[str, int]:
 
     if graph is not None:
         for which in ("q1", "q2", "q3", "Q1"):
-            add(f"graph-vs-setsystem {which}", graph_poly(graph, which) == direct(which))
+            nullity_sum = graph_poly(graph, which)
+            add(f"graph-vs-setsystem {which}", nullity_sum == direct(which))
+            if which != "q2":
+                add(f"graph recursion vs nullity sum {which}", graph_recursive(graph, which) == nullity_sum)
         add("graph roundtrip", system_to_graph(system) == graph)
     if matroid is not None:
         t = tutte(matroid)

@@ -184,7 +184,8 @@ def tutte_dc(matroid: Matroid) -> BiPoly:
     It is q1's multiplicative step with y and x for y + 1 (Brylawski &
     Oxley 1992): a loop (in no basis) gives a factor y on the deletion, a
     coloop (in every basis) x on the contraction, otherwise the two minors
-    are summed; the empty matroid is 1.  The memo keeps every minor.
+    are summed; the empty matroid is 1.  The memo keeps every minor and its
+    value, but no trace.
     """
     steps = {"loop": (BiPoly.y(), ("\\",)), "coloop": (BiPoly.x(), ("/",)), "additive": (None, ("\\", "/"))}
 
@@ -196,7 +197,7 @@ def tutte_dc(matroid: Matroid) -> BiPoly:
         label = system.ground.labels[0]
         return label, factor, tuple((op + label, minor) for op, minor in zip(ops, minors))
 
-    return _recurse(matroid.carrier, rule, lambda n: BiPoly.const(1))[0]
+    return _recurse(matroid.carrier, rule, lambda m: BiPoly.const(1))
 
 
 def tutte_diagonal_check(matroid: Matroid) -> tuple[UniPoly, UniPoly, bool]:

@@ -13,16 +13,21 @@ leaf with a closed-form value.  Under the hypothesis that
 at any such element.  All of them, and Tutte's deletion/contraction in
 ``matroids.tutte_dc``, run on one driver that takes the branch rule and
 expands each distinct minor once.
+
+On a graph the same recursions run on the adjacency matrix in place of
+its support system (``graph_recursive``): the minors become the deleted
+matrix, the Schur complement at a looped vertex and the pivot transform
+on an edge, each with the vertex deleted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Literal, Optional
+from typing import Callable, Hashable, Literal, Optional
 
 from .delta import is_delta_matroid, is_vf_closed
-from .errors import PreconditionError
+from .errors import PreconditionError, size_guard
+from .graphs import Graph
 from .interlace import SparsePoly as Poly, UniPoly, Which, poly_direct
 from .setsystem import Mask, SetSystem, full_flip_explicit
 
@@ -96,10 +101,10 @@ def recursion_hypothesis(system: SetSystem, which: Which) -> bool:
     raise ValueError(f"unknown polynomial name {which!r}")
 
 
-# A branch rule maps a system to None (a leaf) or to the branching element's
-# label, an optional factor and the (operation label, minor) branches.
-Branch = tuple[str, Optional[Poly], tuple[tuple[str, SetSystem], ...]]
-Rule = Callable[[SetSystem], Optional[Branch]]
+# A branch rule maps a state to None (a leaf) or to the branching element's
+# label, an optional factor and the (operation label, child state) branches.
+Branch = tuple[str, Optional[Poly], tuple[tuple[str, Hashable], ...]]
+Rule = Callable[[Hashable], Optional[Branch]]
 
 
 def _node(system: SetSystem, element: str, branches, factor: Optional[Poly] = None) -> RecursionTrace:
@@ -111,29 +116,49 @@ def _node(system: SetSystem, element: str, branches, factor: Optional[Poly] = No
     return RecursionTrace(system, value, element, tuple(branches), factor)
 
 
-def _recurse(system: SetSystem, rule: Rule, leaf: Callable[[int], Poly]) -> tuple[Poly, RecursionTrace]:
-    """Expand the rule down to leaves valued leaf(n) on n ground elements.
+def _recurse(root: Hashable, rule: Rule, leaf: Callable[[Hashable], Poly], trace: bool = False):
+    """Expand the rule from root down to leaves valued leaf(state): the root's
+    value, or with trace its ``RecursionTrace``.
 
-    Every minor is expanded once: a repeated minor shares the subtree of
-    its first expansion, which the frozen trace makes safe.
+    A state is its own memo key: a set system (its labels and family) or a
+    matrix's tuple of rows.  Every distinct state is expanded once; with
+    trace a repeated one shares the subtree of its first expansion, which
+    the frozen trace makes safe.  Without it the memo holds values only,
+    and equal values share one object, which on graphs keeps one value in
+    about ten.
     """
     memo: dict = {}
+    shared: dict = {}  # one object per distinct value
 
-    def go(m: SetSystem) -> RecursionTrace:
-        key = (m.ground.labels, m.family)
-        trace = memo.get(key)
-        if trace is None:
-            branch = rule(m)
+    def go(state):
+        got = memo.get(state)
+        if got is None:
+            branch = rule(state)
             if branch is None:
-                trace = RecursionTrace(m, leaf(m.ground.n))
+                got = leaf(state)
+                if trace:
+                    got = RecursionTrace(state, got)
             else:
                 element, factor, parts = branch
-                trace = _node(m, element, [(op, go(child)) for op, child in parts], factor)
-            memo[key] = trace
-        return trace
+                children = [(op, go(child)) for op, child in parts]
+                if trace:
+                    got = _node(state, element, children, factor)
+                else:
+                    got = sum([value for _, value in children[1:]], children[0][1])
+                    if factor is not None:
+                        got = factor * got
+                    got = shared.setdefault(got, got)
+            memo[state] = got
+        return got
 
-    trace = go(system)
-    return trace.value, trace
+    try:
+        return go(root)
+    finally:
+        if not trace:
+            # go's closure is a reference cycle, and no caller holds the memo's
+            # states and values: free them now, not at a later collection
+            memo.clear()
+            shared.clear()
 
 
 # Operation labels of the deletion, pivot-deletion and dual-pivot-deletion
@@ -184,7 +209,9 @@ def _run(system: SetSystem, which: Which, checked: bool, rule: Rule) -> tuple[Un
     (y+1)^n leaves, or (y+2)^n for Q1."""
     system.require_proper()
     _check(system, which, checked, f"{which} recursion needs {_NEEDS[which]}")
-    return _recurse(system, rule, partial(UniPoly.binomial_power, 2 if which == "Q1" else 1))
+    shift = 2 if which == "Q1" else 1
+    trace = _recurse(system, rule, lambda m: UniPoly.binomial_power(shift, m.ground.n), trace=True)
+    return trace.value, trace
 
 
 def q1_recursive(
@@ -267,6 +294,144 @@ def recursive(system: SetSystem, which: Which, checked: bool = True) -> tuple[Un
     if which == "Q1":
         return Q1_recursive(system, checked)
     raise ValueError(f"unknown polynomial name {which!r}")
+
+
+# The factor an isolated vertex gives, unlooped and looped: y+1 or 2 for q1, y+2 for Q1.
+_ISOLATED = {
+    "q1": (UniPoly.from_coeffs([1, 1]), UniPoly.const(2)),
+    "Q1": (UniPoly.from_coeffs([2, 1]), UniPoly.from_coeffs([2, 1])),
+}
+
+
+def _schur(deletion: list[int], nbrs: Mask) -> tuple[int, ...]:
+    """G*a-a: the Schur complement at a looped vertex a, given G-a and a's neighbours.
+
+    Entry (i, j) gains A_ia A_aj, so each neighbour's row is toggled by
+    the neighbourhood, its diagonal included.
+    """
+    r = nbrs
+    while r:
+        low = r & -r
+        r ^= low
+        deletion[low.bit_length() - 1] ^= nbrs
+    return tuple(deletion)
+
+
+def _edge_pivot(deletion: list[int], nbrs: Mask) -> tuple[int, ...]:
+    """G*ab-a: the pivot transform on the edge ab, a unlooped and b its first
+    neighbour, with a deleted; given G-a and a's neighbours.
+
+    With β = A_bb the block A[{a,b}] = [[0,1],[1,β]] has inverse
+    [[β,1],[1,0]], and the transform (Tsatsomeros 2000, see ``gf2.ppt``)
+    restricted off a is: row b is a's neighbourhood N_a with b's diagonal
+    0; for i, j outside {a, b}, entry (i, j) gains β A_ia A_aj + A_ia A_bj
+    + A_ib A_aj, and entry (i, b) becomes A_ia.  Only the rows of N_a and
+    N_b change.
+    """
+    bit = nbrs & -nbrs
+    j = bit.bit_length() - 1
+    row_b = deletion[j]
+    na = nbrs ^ bit  # N_a without b
+    nb = row_b & ~bit  # N_b without b's loop
+    gain = nb ^ (na if row_b & bit else 0)  # what a row of N_a gains: A_bj + β A_aj
+    r = na | nb
+    while r:
+        low = r & -r
+        r ^= low
+        i = low.bit_length() - 1
+        row = deletion[i] & ~bit  # entry (i, b) becomes A_ia
+        if na & low:
+            row ^= gain | bit
+        if nb & low:
+            row ^= na
+        deletion[i] = row
+    deletion[j] = na
+    return tuple(deletion)
+
+
+def _matrix_rule(which: Literal["q1", "Q1"]) -> Rule:
+    """Branch q1 or Q1 of an adjacency matrix at its first vertex a.
+
+    The state is the tuple of rows; deleting a shifts every row down one
+    bit, so states are compact and free of labels.  With F the support
+    system, whose members are the index sets of nonsingular principal
+    submatrices, ``SetSystem.minors(a)`` gives:
+
+    - F\\a = supp(G-a), the members without a.
+    - F*a\\a = {Y : Y+a in F}.  For a looped a, det A[Y+a] = det S[Y] with
+      S the Schur complement at a, so F*a\\a = supp(G*a-a).  For an
+      unlooped a with a neighbour b, A[{a,b}] is nonsingular and the
+      pivot transform B = ppt_ab(A) has supp(B) = F*{a,b}, so
+      F*a\\a = supp(B-a)*b.  A pivot leaves q1 and Q1 unchanged, so the
+      branch is G*ab-a.
+    - F~*a\\a, the symmetric difference of the two, is (F+a)*a\\a, and
+      loop complementation at a toggles A_aa.  So it is the second branch
+      of G with a's loop toggled: G*ab-a for a looped a, G*a-a for an
+      unlooped one.  Neither transform reads A_aa, so Q1 sums G-a, G*a-a
+      and G*ab-a whatever a's loop.
+    - An isolated a: F*a\\a is empty when a is unlooped, q1's loop step
+      (``q1_multiplicative_step``) with the factor y+1 on G-a; it equals
+      F\\a when a is looped, a factor 2.  Q1 sums over subsets X and
+      diagonal toggles inside X, so each term of G-a comes back three
+      times: a left out, a in and looped, and a in and unlooped, which
+      adds 1 to the nullity.  That is a factor y+2.
+
+    q1 sums F\\a and F*a\\a and Q1 all three (see ``_BRANCHES``).  At a
+    vertex with a neighbour all three are proper, and support systems are
+    vf-closed delta-matroids, so both recursions hold there.  q1 is the
+    vertex-nullity interlace polynomial of Arratia, Bollobás & Sorkin
+    (J. Combin. Theory Ser. B 92, 2004) at y+1, and the matrix form of
+    its recursion follows Aigner & van der Holst (Linear Algebra Appl.
+    377, 2004).
+    """
+    unlooped, looped = _ISOLATED[which]
+    both = which == "Q1"
+
+    def rule(rows: tuple[int, ...]) -> Optional[Branch]:
+        if not rows:
+            return None
+        head = rows[0]
+        nbrs = head >> 1
+        deletion = [r >> 1 for r in rows[1:]]
+        minus_a = ("G-a", tuple(deletion))
+        if not nbrs:
+            return "a", looped if head & 1 else unlooped, (minus_a,)
+        if both:
+            schur = ("G*a-a", _schur(deletion[:], nbrs))
+            return "a", None, (minus_a, schur, ("G*ab-a", _edge_pivot(deletion, nbrs)))
+        if head & 1:
+            return "a", None, (minus_a, ("G*a-a", _schur(deletion, nbrs)))
+        return "a", None, (minus_a, ("G*ab-a", _edge_pivot(deletion, nbrs)))
+
+    return rule
+
+
+def graph_recursive(graph: Graph, which: Which) -> UniPoly:
+    """q1, q3 or Q1 of a graph by the recursion on its adjacency matrix.
+
+    q3 is q1 of A+I.  The rules are ``_matrix_rule``'s; each distinct
+    matrix is expanded once, and the memo holds values only.  Each memo
+    node counts as one cell of ``size_guard``, so an unforced call stops
+    when the memo outgrows the cell limit.  ``graph_poly`` is the
+    nullity-sum oracle; q2 has no matrix recursion here.
+    """
+    if which not in ("q1", "q3", "Q1"):
+        raise ValueError(f"no matrix recursion for {which!r}; use graph_poly")
+    matrix = graph.matrix
+    if which == "q3":
+        matrix = matrix.with_toggled_diagonal(matrix.ground.full_mask)
+    rule = _matrix_rule("Q1" if which == "Q1" else "q1")
+    what = f"{which} by matrix recursion on {graph.n} vertices, one cell per memo node,"
+    nodes = 0
+
+    def counted(rows: tuple[int, ...]) -> Optional[Branch]:
+        nonlocal nodes
+        nodes += 1
+        size_guard(nodes, what)
+        return rule(rows)
+
+    one = UniPoly.const(1)
+    return _recurse(matrix.rows, counted, lambda rows: one)
 
 
 def q1_normal_step(

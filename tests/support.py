@@ -21,7 +21,7 @@ from deltapoly import (
     graph_to_system,
 )
 
-LABELS = "abcdefghijklmnop"
+LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def random_set_system(rng: random.Random, n: int, max_members: int | None = None) -> SetSystem:

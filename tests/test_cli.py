@@ -485,6 +485,8 @@ def test_cli_from_graph_and_verify(triangle_path, capsys):
     assert main(["verify", "--input", triangle_path]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "graph roundtrip" in out
+    recursion_lines = [line for line in out.splitlines() if "graph recursion vs nullity sum" in line]
+    assert recursion_lines == [f"ok  graph recursion vs nullity sum {which}" for which in ("q1", "q3", "Q1")]
 
 
 def test_cli_verify_setsystem(m0_path, capsys):
@@ -569,9 +571,11 @@ def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     path.write_text(
         json.dumps({"type": "graph", "vertices": labels, "edges": [list(e) for e in zip(labels, labels[1:])]})
     )
-    for via in ([], ["--via-system"]):
-        assert main(["poly", "--which", "q1", *via, "--input", str(path)]) == 2
-        capsys.readouterr()
+    # the matrix recursion expands a path in a few nodes per vertex; the set system has 2^30 cells
+    assert main(["poly", "--which", "q1", "--input", str(path)]) == 0
+    assert sum(json.loads(capsys.readouterr().out)) == 2**30
+    assert main(["poly", "--which", "q1", "--via-system", "--input", str(path)]) == 2
+    capsys.readouterr()
     unknown = tmp_path / "word.json"
     unknown.write_text(M0_DOC)
     assert main(["apply", "--word", "+z", "--input", str(unknown)]) == 2
@@ -589,6 +593,14 @@ def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["tutte", "--force", "--input", str(u121)]) == 0
     assert json.loads(capsys.readouterr().out) == uniform_tutte(1, 21).to_records()
+    ten = tmp_path / "path10.json"
+    labels = [f"v{i}" for i in range(10)]
+    ten.write_text(json.dumps({"type": "graph", "vertices": labels, "edges": [list(e) for e in zip(labels, labels[1:])]}))
+    monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 16)  # the q1 recursion of a 10-vertex path has more memo nodes
+    assert main(["poly", "--which", "q1", "--input", str(ten)]) == 2
+    assert "recursion on 10 vertices, one cell per memo node, needs 17 cells" in capsys.readouterr().err
+    assert main(["poly", "--which", "q1", "--force", "--input", str(ten)]) == 0
+    assert sum(json.loads(capsys.readouterr().out)) == 2**10
     monkeypatch.setattr("deltapoly.errors.MAX_CELLS", 4)  # every 2^3 and 3^3 table of the triangle
     assert main(["verify", "--input", triangle_path]) == 2
     capsys.readouterr()

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltapoly import (
     Graph,
@@ -13,6 +15,7 @@ from deltapoly import (
     elementary_pivots,
     graph_flip,
     graph_poly,
+    graph_recursive,
     graph_to_system,
     is_vf_closed,
     local_complement,
@@ -21,9 +24,10 @@ from deltapoly import (
     poly_direct,
     system_to_graph,
 )
-from deltapoly.gf2 import Gf2Matrix
+from deltapoly.gf2 import Gf2Matrix, ppt, schur_complement
+from deltapoly.recursion import _edge_pivot, _schur
 from deltapoly.setsystem import GroundSet
-from support import FIG_ORBIT, M0, TRIANGLE_TWO_LOOPS, random_graph, random_graphs
+from support import FIG_ORBIT, M0, TRIANGLE_TWO_LOOPS, random_graph, random_graphs, random_symmetric_matrix
 
 
 def all_graphs(n):
@@ -305,3 +309,80 @@ def test_marked_bracket_random_graphs():
         system = graph_to_system(graph)
         c = rng.randrange(1 << graph.n)
         assert marked_bracket(graph, c) == poly_direct(system.pivot(c), "q3")
+
+
+@st.composite
+def graphs_and_polys(draw):
+    """A random graph with drawn edge and loop densities, up to 10 vertices for q1 and q3 and 8 for Q1."""
+    which = draw(st.sampled_from(["q1", "q3", "Q1"]))
+    n = draw(st.integers(0, 8 if which == "Q1" else 10))
+    edge_p, loop_p = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, edge_p, loop_p), which
+
+
+@given(graphs_and_polys())
+@settings(max_examples=200, deadline=None)
+def test_graph_recursion_matches_nullity_sums(case):
+    graph, which = case
+    assert graph_recursive(graph, which) == graph_poly(graph, which)
+
+
+def test_graph_recursion_matches_poly_direct_on_corpora(delta_corpus, vf_corpus):
+    supports = 0
+    for system in delta_corpus + vf_corpus:
+        try:
+            graph = system_to_graph(system)
+        except NotAGraphError:
+            continue
+        supports += 1
+        for which in ("q1", "q3", "Q1"):
+            assert graph_recursive(graph, which) == poly_direct(system, which), (system, which)
+    assert supports >= 150
+
+
+def test_matrix_steps_match_gf2_pivots():
+    # neither step reads A_aa, so each is compared at the loop its gf2 transform needs
+    rng = random.Random(26)
+    steps = 0
+    for _ in range(300):
+        matrix = random_symmetric_matrix(rng, rng.randint(2, 8))
+        nbrs = matrix.rows[0] >> 1
+        if not nbrs:
+            continue
+        deletion = [r >> 1 for r in matrix.rows[1:]]
+        looped_a = matrix.rows[0] & 1
+        edge = 1 | (nbrs & -nbrs) << 1
+        rest = matrix.ground.full_mask ^ 1
+        schur = schur_complement(matrix.with_toggled_diagonal(1 - looped_a), 1)
+        assert _schur(deletion[:], nbrs) == schur.rows
+        pivoted = ppt(matrix.with_toggled_diagonal(looped_a), edge).principal(rest)
+        assert _edge_pivot(deletion, nbrs) == pivoted.rows
+        steps += 1
+    assert steps > 200
+
+
+def test_graph_recursion_examples():
+    assert graph_recursive(TRIANGLE_TWO_LOOPS, "q1").coeff_list() == [5, 3]
+    empty = Graph.from_edges([])
+    for which in ("q1", "q3", "Q1"):
+        assert graph_recursive(empty, which).coeff_list() == [1]
+    looped, unlooped = Graph.from_edges(["u"], loops=["u"]), Graph.from_edges(["u"])
+    assert graph_recursive(looped, "q1").coeff_list() == [2]
+    assert graph_recursive(unlooped, "q1").coeff_list() == [1, 1]
+    assert graph_recursive(looped, "q3").coeff_list() == [1, 1]
+    assert graph_recursive(unlooped, "Q1").coeff_list() == [2, 1]
+    with pytest.raises(ValueError):
+        graph_recursive(TRIANGLE_TWO_LOOPS, "q2")
+
+
+def test_graph_recursion_on_24_vertices():
+    rng = random.Random(24)
+    graph = random_graph(rng, 24, edge_p=0.15)
+    q1 = graph_recursive(graph, "q1")
+    assert q1.evaluate(1) == 2**24
+    shuffled = list(graph.vertices())
+    rng.shuffle(shuffled)
+    assert graph_recursive(Graph.from_edges(shuffled, graph.edges(), graph.loops()), "q1") == q1
+    # a pivot on an edge whose 2x2 block is nonsingular: its ends are not both looped
+    u, v = next((u, v) for u, v in graph.edges() if not (graph.has_loop(u) and graph.has_loop(v)))
+    assert graph_recursive(graph_flip(graph, "pivot", [u, v]), "q1") == q1

@@ -309,6 +309,28 @@ TREE_DIGESTS = {
 }
 
 
+def test_cli_multivariate_records_are_pinned(tmp_path, capsys):
+    inputs = tree_inputs()
+    out = {}
+    for name in ("M0", "vf6"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_document(inputs[name]))
+        for fmt in ("json", "text"):
+            assert main(["poly", "--which", "Q", "--format", fmt, "--input", str(path)]) == 0
+            out[f"{name} Q {fmt}"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert out == Q_RECORD_DIGESTS
+
+
+# recorded while multivariate_Q scanned the family in every cell and to_records
+# looked up the labels of A, B and C per cell
+Q_RECORD_DIGESTS = {
+    "M0 Q json": "fa2080246a3e7c3a",
+    "M0 Q text": "ce7fd137e7f5decf",
+    "vf6 Q json": "65eb0d3a0ad890c1",
+    "vf6 Q text": "46b2980285aefc06",
+}
+
+
 def test_cli_family_outputs_are_pinned(tmp_path, capsys):
     assert writer_digests(tmp_path, capsys) == WRITER_DIGESTS
 

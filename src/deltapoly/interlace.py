@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from itertools import repeat
 from math import comb
 from typing import Literal
 
 from . import cube
 from .errors import size_guard
-from .setsystem import Mask, SetSystem, iter_submasks
+from .setsystem import Mask, SetSystem
 
 Which = Literal["Q1", "q1", "q2", "q3"]
 
@@ -170,10 +171,6 @@ class MultiQPoly:
             and self.entries == other.entries
         )
 
-    def a_mask(self, key: tuple[Mask, Mask]) -> Mask:
-        b, c = key
-        return self.ground.full_mask & ~(b | c)
-
     def specialize(self, which: Which) -> UniPoly:
         """Apply the 0/1 weight substitution and collect surviving monomials.
 
@@ -181,58 +178,101 @@ class MultiQPoly:
         empty and q3 those with B empty.
         """
         full = self.ground.full_mask
-        keeps = {
-            "Q1": lambda b, c: True,
-            "q1": lambda b, c: not c,
-            "q2": lambda b, c: b | c == full,
-            "q3": lambda b, c: not b,
-        }
-        if which not in keeps:
+        entries = self.entries
+        if which == "Q1":
+            kept = entries.values()
+        elif which == "q1":
+            kept = [d for (b, c), d in entries.items() if not c]
+        elif which == "q2":
+            kept = [d for (b, c), d in entries.items() if b | c == full]
+        elif which == "q3":
+            kept = [d for (b, c), d in entries.items() if not b]
+        else:
             raise ValueError(f"unknown specialization {which!r}")
-        keep = keeps[which]
-        return UniPoly(Counter(d for (b, c), d in self.entries.items() if keep(b, c)))
+        return UniPoly(Counter(kept))
 
     def to_records(self) -> list[dict]:
-        """Serializable monomial list, sorted by (B, C) masks."""
-        out = []
-        for (b, c) in sorted(self.entries):
-            out.append(
-                {
-                    "A": list(self.ground.labels_of(self.a_mask((b, c)))),
-                    "B": list(self.ground.labels_of(b)),
-                    "C": list(self.ground.labels_of(c)),
-                    "d": self.entries[(b, c)],
-                }
-            )
-        return out
+        """Serializable monomial list, sorted by (B, C) masks.
+
+        The label list of each mask is built once, so records with equal
+        parts share one list.
+        """
+        ground = self.ground
+        full = ground.full_mask
+        labels = [list(ground.labels_of(m)) for m in range(full + 1)]
+        return [
+            {"A": labels[full & ~(b | c)], "B": labels[b], "C": labels[c], "d": d}
+            for (b, c), d in sorted(self.entries.items())
+        ]
 
 
 def multivariate_Q(system: SetSystem) -> MultiQPoly:
     """Tabulate all 3^n ordered-partition exponents of a proper system.
 
-    For each C the dual pivot is applied incrementally (Gray-code order),
-    then every disjoint B contributes the pivot-translated minimum
-    distance of the transformed system.  The scan is brute force over the
-    member tuple on purpose: it shares no code with the indicator kernel
-    behind poly_direct, so its specializations are that kernel's oracle.
+    The entry (B, C) is the minimum of |X Δ B| over the members X of
+    F~*C, the system dual-pivoted on C.  C runs in Gray-code order, so
+    each step dual-pivots the family on one element.  Write R = V ∖ C.
+    Since B ⊆ R is disjoint from C, X Δ B is the disjoint union of X ∩ C
+    and (X ∖ C) Δ B, so |X Δ B| = |X ∩ C| + |(X ∖ C) Δ B|.  Grouping the
+    members by u = X ∖ C, the entry is the minimum over u ⊆ R of
+    w(u) + |u Δ B|, where w(u) is the least |X ∩ C| of a member with
+    X ∖ C = u, and infinite if there is none.  That minimum is the L1
+    distance transform of w on the subcube of R (``_distance_transform``).
+    Each C costs |F~*C| for the projection and |R|·2^|R| for the
+    transform, O(n·3^n) in all plus the sum of |F~*C|.
+
+    The table shares no code with the indicator kernel of ``cube`` behind
+    poly_direct, so its specializations are that kernel's oracle.
     """
     system.require_proper()
     n = system.ground.n
     size_guard(3**n, f"the multivariate table at n={n}")
     full = system.ground.full_mask
+    far = n + 1  # above every distance, so it stands for infinity
     entries: dict[tuple[Mask, Mask], int] = {}
-    cur = system
-    cur_c = 0
+    family = set(system.family)  # the members of F~*c
+    c = 0
     for g in range(1 << n):
-        c = g ^ (g >> 1)  # Gray code: consecutive codes differ in one bit
-        flip = c ^ cur_c
-        if flip:
-            cur = cur.dual_pivot(flip)
-            cur_c = c
-        fam = cur.family
-        for b in iter_submasks(full & ~c):
-            entries[(b, c)] = min((b ^ m).bit_count() for m in fam)
+        bit = (g ^ g >> 1) ^ c  # Gray code: consecutive codes differ in one bit
+        if bit:
+            # the dual pivot on one element e, X toggles for each member X + e, done on
+            # a plain set: a SetSystem per step would sort the family each time
+            family ^= {m ^ bit for m in family if m & bit}
+            c ^= bit
+        r = full & ~c
+        # the subsets of R in ascending order: bit j of an index is the j-th element of R
+        subsets = [0]
+        for j in range(n):
+            if r >> j & 1:
+                subsets += [u | 1 << j for u in subsets]
+        best: dict[Mask, int] = {}
+        for m in family:
+            u, d = m & r, (m & c).bit_count()
+            if d < best.get(u, far):
+                best[u] = d
+        w = [best.get(u, far) for u in subsets]
+        _distance_transform(w)
+        entries.update(zip(zip(subsets, repeat(c)), w))
     return MultiQPoly(system.ground, entries)
+
+
+def _distance_transform(w: list[int]) -> None:
+    """In place, w[i] := min over j of w[j] + popcount(i ^ j), for len(w) a power of two.
+
+    One min-plus pass per bit: each pair i, i + step that differs in that
+    bit brings either value down to the other plus one.
+    """
+    size = len(w)
+    step = 1
+    while step < size:
+        for base in range(0, size, 2 * step):
+            for i in range(base, base + step):
+                a, b = w[i], w[i + step]
+                if a > b + 1:
+                    w[i] = b + 1
+                elif b > a + 1:
+                    w[i + step] = a + 1
+        step *= 2
 
 
 def permute_Q_under_flip(table: MultiQPoly, kind, subset) -> MultiQPoly:

@@ -20,6 +20,7 @@ from deltapoly import (
     binary_matroid_from_matrix,
     graph_to_system,
 )
+from deltapoly.setsystem import iter_submasks
 
 LABELS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -178,3 +179,19 @@ FIG_ORBIT = [
 TRIANGLE_TWO_LOOPS = Graph.from_edges(
     ["p", "q", "r"], [("p", "q"), ("p", "r"), ("q", "r")], loops=["p", "r"]
 )
+
+
+def multivariate_Q_bruteforce(system: SetSystem) -> dict[tuple[int, int], int]:
+    """Oracle for multivariate_Q(...).entries: for each C, in Gray-code order of its dual
+    pivots, every B disjoint from C gets the minimum of |X Δ B| over the members X of F~*C."""
+    n = system.n
+    full = system.ground.full_mask
+    entries = {}
+    cur, cur_c = system, 0
+    for g in range(1 << n):
+        c = g ^ (g >> 1)
+        if c != cur_c:
+            cur, cur_c = cur.dual_pivot(c ^ cur_c), c
+        for b in iter_submasks(full & ~c):
+            entries[(b, c)] = min((b ^ m).bit_count() for m in cur.family)
+    return entries

@@ -37,7 +37,14 @@ from deltapoly import (
     uniform_matroid,
 )
 from deltapoly.errors import size_guard
-from support import M0, TRIANGLE_TWO_LOOPS
+from support import (
+    M0,
+    TRIANGLE_TWO_LOOPS,
+    multivariate_Q_bruteforce,
+    random_set_system,
+    twisted_graph_systems,
+    wide_set_system,
+)
 
 
 def test_unipoly_arithmetic():
@@ -123,6 +130,26 @@ def test_specialize_equals_direct(delta_corpus, vf_corpus):
         table = multivariate_Q(system)
         for which in ("Q1", "q1", "q2", "q3"):
             assert table.specialize(which) == poly_direct(system, which)
+
+
+def test_multivariate_table_matches_bruteforce(delta_corpus, vf_corpus):
+    rng = random.Random(26)
+    labels = list("abcdefgh")
+    # {∅, {a}} is a delta-matroid whose dual pivot on a is {{a}}, so its entry (∅, {a}) is 1
+    point_and_a = SetSystem.from_sets(["a"], [[], ["a"]])
+    assert multivariate_Q(point_and_a).entries[(0, 1)] == 1
+    edge_cases = [
+        SetSystem.from_sets([], [[]]),
+        SetSystem.from_sets(labels[:3], [[]]),
+        SetSystem.from_sets(labels[:5], [["b", "d"]]),
+        SetSystem(GroundSet(tuple(labels[:5])), tuple(range(1 << 5))),
+        point_and_a,
+    ]
+    random_systems = [random_set_system(rng, n) for n in range(1, 9)]
+    random_systems += [wide_set_system(rng, n, count=2 * n) for n in (4, 6, 8)]
+    twisted = twisted_graph_systems(seed=26, count=4, n_min=5, n_max=8)
+    for system in edge_cases + delta_corpus[:60] + vf_corpus[:40] + twisted + random_systems:
+        assert multivariate_Q(system).entries == multivariate_Q_bruteforce(system), str(system)
 
 
 def test_improper_rejected():

@@ -387,16 +387,20 @@ def cmd_poly(value, args) -> str:
     if args.which == "Q":
         records = multivariate_Q(_coerce(value, SetSystem, args.command)).to_records()
         return _shown(args, lambda: json.dumps(records, separators=(",", ":")), lambda: "\n".join(map(str, records)))
-    if isinstance(value, Graph) and not args.via_system:
-        # q1, q3 and Q1 by the recursion on the adjacency matrix; q2 by its nullity sum
-        poly = graph_poly(value, "q2") if args.which == "q2" else graph_recursive(value, args.which)
-    else:
-        poly = poly_direct(_coerce(value, SetSystem, args.command), args.which)
+    poly = _polynomial(value, args)
     return _shown(args, lambda: _coefficients_text(poly), poly.text)
 
 
-def cmd_eval(system: SetSystem, args) -> str:
-    return str(poly_direct(system, args.which).evaluate(args.at))
+def _polynomial(value, args) -> UniPoly:
+    """q1, q2, q3 or Q1 of a document: a graph's by the recursion on its
+    adjacency matrix unless ``poly --via-system``, any other's by its set system."""
+    if isinstance(value, Graph) and not args.via_system:
+        return graph_recursive(value, args.which)
+    return poly_direct(_coerce(value, SetSystem, args.command), args.which)
+
+
+def cmd_eval(value, args) -> str:
+    return str(_polynomial(value, args).evaluate(args.at))
 
 
 def cmd_check(system: SetSystem, args) -> str:
@@ -469,8 +473,7 @@ def cmd_verify(value, args) -> tuple[str, int]:
         for which in ("q1", "q2", "q3", "Q1"):
             nullity_sum = graph_poly(graph, which)
             add(f"graph-vs-setsystem {which}", nullity_sum == direct(which))
-            if which != "q2":
-                add(f"graph recursion vs nullity sum {which}", graph_recursive(graph, which) == nullity_sum)
+            add(f"graph recursion vs nullity sum {which}", graph_recursive(graph, which) == nullity_sum)
         add("graph roundtrip", system_to_graph(system) == graph)
     if matroid is not None:
         t = tutte(matroid)
@@ -528,9 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3", "Q"), required=True)
     p.add_argument("--via-system", action="store_true", help="route graphs through the set system")
 
-    p = command("eval", cmd_eval, SetSystem, help="evaluate a polynomial at an integer")
+    p = command("eval", cmd_eval, object, help="evaluate a polynomial at an integer")
     p.add_argument("--which", choices=("Q1", "q1", "q2", "q3"), required=True)
     p.add_argument("--at", type=int, required=True)
+    p.set_defaults(via_system=False)
 
     p = command("check", cmd_check, SetSystem, help="predicate checks")
     p.add_argument("predicate", choices=("dm", "even", "vfclosed", "divisible"))

@@ -102,12 +102,6 @@ def layer_masks(n: int) -> list[int]:
     return layers
 
 
-def pivot(s: int, i: int, m: int) -> int:
-    """Translate every member by {i}; m is M_i."""
-    shift = 1 << i
-    return ((s & m) << shift) | ((s >> shift) & m)
-
-
 def loopc(s: int, i: int, m: int) -> int:
     """Loop complementation on i: X + i toggles when X (without i) is a member."""
     return s ^ ((s & m) << (1 << i))
@@ -125,14 +119,6 @@ def full_flip(family: Iterable[int], n: int, kind: CubeFlip) -> tuple[int, ...]:
     for i, m in enumerate(element_masks(n)):
         s = step(s, i, m)
     return members(s)
-
-
-def first_layer(s: int, layers: list[int]) -> int:
-    """Index of the first layer mask that meets a nonempty indicator."""
-    for k, layer in enumerate(layers):
-        if s & layer:
-            return k
-    raise ValueError("the indicator meets no layer: the family is empty")
 
 
 def distance_counts(ball: int, masks: list[int], region: int) -> list[int]:
@@ -227,15 +213,26 @@ def q1_counts(family: Iterable[int], n: int) -> list[int]:
 
 
 def q2_counts(family: Iterable[int], n: int) -> list[int]:
-    """Histogram of d(V, loopc_Z F) over all Z: n minus the top layer met."""
+    """Histogram of d(V, loopc_Z F) over all Z: n minus the top layer met.
+
+    Loop complementation on one element e keeps the members without e and
+    toggles X + e for each member X without e.  No member grows by more
+    than one, and a top member Y + e that goes leaves Y behind, so the top
+    layer moves by at most one per step and is tracked by a pointer.
+    """
     masks = element_masks(n)
-    top_down = layer_masks(n)[::-1]
+    layers = layer_masks(n)
     s = indicator(family, n)
+    top = max(k for k, layer in enumerate(layers) if s & layer)
     counts = [0] * (n + 1)
-    counts[first_layer(s, top_down)] += 1
+    counts[n - top] += 1
     for i, _ in _gray_walk(n):
         s = loopc(s, i, masks[i])
-        counts[first_layer(s, top_down)] += 1
+        if top < n and s & layers[top + 1]:
+            top += 1
+        elif not s & layers[top]:
+            top -= 1
+        counts[n - top] += 1
     return counts
 
 
@@ -243,17 +240,30 @@ def q3_counts(family: Iterable[int], n: int) -> list[int]:
     """Histogram of d(Z, loopc_Z F) over all Z.
 
     T_Z = pivot_Z(loopc_Z F) has d(Z, loopc_Z F) as its lowest layer.  When
-    e enters Z, T becomes P_e L_e T; when e leaves, L_e P_e T.
+    e enters Z, T becomes P_e L_e T; when e leaves, L_e P_e T.  On the
+    halves of T without and with e, (lo, hi), L_e is (lo, hi ^ lo) and P_e
+    a swap, so entering gives (lo ^ hi, lo) and leaving (hi, lo ^ hi).
+    L_e keeps the bottom layer: a member X + e that goes leaves X, which is
+    smaller, and the members it adds are larger than the ones they come
+    from.  P_e moves each member's size by one.  So the bottom layer moves
+    by at most one per step and is tracked by a pointer.
     """
     masks = element_masks(n)
     layers = layer_masks(n)
     t = indicator(family, n)
+    bottom = next(k for k, layer in enumerate(layers) if t & layer)
     counts = [0] * (n + 1)
-    counts[first_layer(t, layers)] += 1
+    counts[bottom] += 1
     for i, entering in _gray_walk(n):
         m = masks[i]
-        t = pivot(loopc(t, i, m), i, m) if entering else loopc(pivot(t, i, m), i, m)
-        counts[first_layer(t, layers)] += 1
+        shift = 1 << i
+        lo, hi = t & m, (t >> shift) & m
+        t = (lo ^ hi) | (lo << shift) if entering else hi | ((lo ^ hi) << shift)
+        if bottom and t & layers[bottom - 1]:
+            bottom -= 1
+        elif not t & layers[bottom]:
+            bottom += 1
+        counts[bottom] += 1
     return counts
 
 

@@ -114,6 +114,19 @@ class UniPoly(SparsePoly):
         return cls._make(dict(enumerate(ascending)))
 
     @classmethod
+    def from_packed(cls, value: int, width: int) -> "UniPoly":
+        """The polynomial whose value at y = 2^width is value, for coefficients in [0, 2^width).
+
+        The coefficient of y^d is the d-th width-bit slot of value.
+        """
+        slot = (1 << width) - 1
+        ascending = []
+        while value:
+            ascending.append(value & slot)
+            value >>= width
+        return cls._make(dict(enumerate(ascending)))
+
+    @classmethod
     def binomial_power(cls, shift: int, exponent: int) -> "UniPoly":
         """(y + shift) ** exponent, expanded exactly."""
         return cls._make({k: comb(exponent, k) * shift ** (exponent - k) for k in range(exponent + 1)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from . import cube
@@ -208,9 +209,13 @@ def tutte_diagonal_check(matroid: Matroid) -> tuple[UniPoly, UniPoly, bool]:
 
 
 def binary_matroid_from_matrix(rep: Representation) -> Matroid:
-    """Column matroid over GF(2): bases are the maximal independent column sets."""
+    """Column matroid over GF(2): bases are the maximal independent column sets.
+
+    Every r-column set is ranked, so ``size_guard`` counts C(n, r) cells.
+    """
     r = rep.rank()
     n = rep.ncols
+    size_guard(comb(n, r), f"the {n}-column, rank-{r} representation's column sets")
     columns = [rep.column_vector(j) for j in range(n)]
     bases = []
     for combo in combinations(range(n), r):

@@ -17,13 +17,14 @@ expands each distinct minor once.
 On a graph the same recursions run on the adjacency matrix in place of
 its support system (``graph_recursive``): the minors become the deleted
 matrix, the Schur complement at a looped vertex and the pivot transform
-on an edge, each with the vertex deleted.
+on an edge, each with the vertex deleted.  q2, which reads only the
+off-diagonal part, sums Schur complements at a vertex and at an edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Literal, Optional
+from typing import Any, Callable, Hashable, Literal, Optional
 
 from .delta import is_delta_matroid, is_vf_closed
 from .errors import PreconditionError, size_guard
@@ -103,7 +104,7 @@ def recursion_hypothesis(system: SetSystem, which: Which) -> bool:
 
 # A branch rule maps a state to None (a leaf) or to the branching element's
 # label, an optional factor and the (operation label, child state) branches.
-Branch = tuple[str, Optional[Poly], tuple[tuple[str, Hashable], ...]]
+Branch = tuple[str, Optional[Any], tuple[tuple[str, Hashable], ...]]
 Rule = Callable[[Hashable], Optional[Branch]]
 
 
@@ -116,7 +117,7 @@ def _node(system: SetSystem, element: str, branches, factor: Optional[Poly] = No
     return RecursionTrace(system, value, element, tuple(branches), factor)
 
 
-def _recurse(root: Hashable, rule: Rule, leaf: Callable[[Hashable], Poly], trace: bool = False):
+def _recurse(root: Hashable, rule: Rule, leaf: Callable[[Hashable], Any], trace: bool = False):
     """Expand the rule from root down to leaves valued leaf(state): the root's
     value, or with trace its ``RecursionTrace``.
 
@@ -125,7 +126,9 @@ def _recurse(root: Hashable, rule: Rule, leaf: Callable[[Hashable], Poly], trace
     trace a repeated one shares the subtree of its first expansion, which
     the frozen trace makes safe.  Without it the memo holds values only,
     and equal values share one object, which on graphs keeps one value in
-    about ten.
+    about ten.  A value is anything that adds and multiplies by the rule's
+    factors: a polynomial, or in ``graph_recursive`` the integer that packs
+    one.  A trace needs polynomials.
     """
     memo: dict = {}
     shared: dict = {}  # one object per distinct value
@@ -296,13 +299,6 @@ def recursive(system: SetSystem, which: Which, checked: bool = True) -> tuple[Un
     raise ValueError(f"unknown polynomial name {which!r}")
 
 
-# The factor an isolated vertex gives, unlooped and looped: y+1 or 2 for q1, y+2 for Q1.
-_ISOLATED = {
-    "q1": (UniPoly.from_coeffs([1, 1]), UniPoly.const(2)),
-    "Q1": (UniPoly.from_coeffs([2, 1]), UniPoly.from_coeffs([2, 1])),
-}
-
-
 def _schur(deletion: list[int], nbrs: Mask) -> tuple[int, ...]:
     """G*a-a: the Schur complement at a looped vertex a, given G-a and a's neighbours.
 
@@ -349,7 +345,7 @@ def _edge_pivot(deletion: list[int], nbrs: Mask) -> tuple[int, ...]:
     return tuple(deletion)
 
 
-def _matrix_rule(which: Literal["q1", "Q1"]) -> Rule:
+def _matrix_rule(which: Literal["q1", "Q1"], y: int) -> Rule:
     """Branch q1 or Q1 of an adjacency matrix at its first vertex a.
 
     The state is the tuple of rows; deleting a shifts every row down one
@@ -382,9 +378,10 @@ def _matrix_rule(which: Literal["q1", "Q1"]) -> Rule:
     vertex-nullity interlace polynomial of Arratia, Bollobás & Sorkin
     (J. Combin. Theory Ser. B 92, 2004) at y+1, and the matrix form of
     its recursion follows Aigner & van der Holst (Linear Algebra Appl.
-    377, 2004).
+    377, 2004).  The factors are values at the variable's value y, as
+    ``graph_recursive`` packs them.
     """
-    unlooped, looped = _ISOLATED[which]
+    unlooped, looped = (y + 2, y + 2) if which == "Q1" else (y + 1, 2)
     both = which == "Q1"
 
     def rule(rows: tuple[int, ...]) -> Optional[Branch]:
@@ -406,21 +403,121 @@ def _matrix_rule(which: Literal["q1", "Q1"]) -> Rule:
     return rule
 
 
-def graph_recursive(graph: Graph, which: Which) -> UniPoly:
-    """q1, q3 or Q1 of a graph by the recursion on its adjacency matrix.
+def _join_off_diagonal(rows: list[int], among: Mask) -> list[int]:
+    """Toggle every entry (i, j) with i != j both in among, and return rows."""
+    r = among
+    while r:
+        low = r & -r
+        r ^= low
+        rows[low.bit_length() - 1] ^= among ^ low
+    return rows
 
-    q3 is q1 of A+I.  The rules are ``_matrix_rule``'s; each distinct
-    matrix is expanded once, and the memo holds values only.  Each memo
-    node counts as one cell of ``size_guard``, so an unforced call stops
-    when the memo outgrows the cell limit.  ``graph_poly`` is the
-    nullity-sum oracle; q2 has no matrix recursion here.
+
+def _offdiagonal_minors(deletion: list[int], nbrs: Mask) -> tuple[tuple[int, ...], ...]:
+    """q2's three children of a vertex a with neighbours, diagonals cleared;
+    given G-a, whose diagonal is clear, and a's neighbours.
+
+    The first is the Schur complement at a on V-a: a row of N_a gains the
+    rest of N_a.  With b the first neighbour, the others are the Schur
+    complements at {a, b} on V-{a, b} for β = 0 and β = 1: a row of N_a
+    gains N_b + β N_a, a row of N_b gains N_a (see ``_q2_rule``), and then
+    row and column b go.
     """
-    if which not in ("q1", "q3", "Q1"):
-        raise ValueError(f"no matrix recursion for {which!r}; use graph_poly")
+    bit = nbrs & -nbrs
+    j = bit.bit_length() - 1
+    na = nbrs ^ bit
+    nb = deletion[j]
+    schur = _join_off_diagonal(deletion[:], nbrs)
+    pair = deletion
+    r = na | nb
+    while r:
+        low = r & -r
+        r ^= low
+        i = low.bit_length() - 1
+        row = pair[i]
+        if na & low:
+            row ^= nb
+        if nb & low:
+            row ^= na
+        pair[i] = row & ~low
+    del pair[j]
+    keep = bit - 1
+    pair = [(r & keep) | (r >> 1 & ~keep) for r in pair]  # column b goes
+    looped_b = _join_off_diagonal(pair[:], (na & keep) | (na >> 1 & ~keep))
+    return tuple(schur), tuple(pair), tuple(looped_b)
+
+
+def _q2_rule(y: int) -> Rule:
+    """Branch q2 of an adjacency matrix at its first vertex a.
+
+    q2 sums y^n(A_D) over the 2^n matrices A_D that are A with its diagonal
+    replaced by D: toggling the diagonal by every X, as ``graph_poly`` does,
+    reaches each D once.  So q2 reads the off-diagonal part only, and the
+    state is the tuple of rows with the diagonal cleared, which merges
+    states that differ on the diagonal alone.  Split the sum by D_a; the
+    nullity of a matrix equals that of its Schur complement at a
+    nonsingular principal block.
+
+    - a isolated: A_D = [D_a] + A_D' as a direct sum, and D_a = 0 adds 1 to
+      the nullity.  That is a factor y+1 on G-a.
+    - D_a = 1: the Schur complement at a has entry (i, j) equal to
+      A_ij + A_ia A_aj.  Its diagonal D_i + A_ia runs over every diagonal
+      of V-a as D does, so this half is q2 of its off-diagonal part, the
+      off-diagonal part of G*a-a.
+    - D_a = 0, b the first neighbour, β = D_b: A[{a,b}] = [[0,1],[1,β]]
+      is nonsingular with inverse [[β,1],[1,0]], so the Schur complement
+      on V-{a,b} has entry (i, j) equal to A_ij + A_ia A_bj + A_ib A_aj
+      + β A_ia A_aj.  Its diagonal D_i + β A_ia again runs over every
+      diagonal, so each β gives q2 of that off-diagonal part.
+
+    So a vertex with a neighbour sums three children (``_offdiagonal_minors``)
+    on 2^(n-1) + 2^(n-2) + 2^(n-2) diagonals in all.
+    """
+    isolated = y + 1
+
+    def rule(rows: tuple[int, ...]) -> Optional[Branch]:
+        if not rows:
+            return None
+        nbrs = rows[0] >> 1
+        deletion = [r >> 1 for r in rows[1:]]
+        if not nbrs:
+            return "a", isolated, (("G-a", tuple(deletion)),)
+        schur, unlooped_b, looped_b = _offdiagonal_minors(deletion, nbrs)
+        return "a", None, (("G*a-a", schur), ("G*ab-ab", unlooped_b), ("G+b*ab-ab", looped_b))
+
+    return rule
+
+
+def graph_recursive(graph: Graph, which: Which) -> UniPoly:
+    """q1, q2, q3 or Q1 of a graph by the recursion on its adjacency matrix.
+
+    q3 is q1 of A+I; q1 and Q1 branch by ``_matrix_rule`` and q2 by
+    ``_q2_rule``.  Each distinct matrix is expanded once, and the memo
+    holds values only.  A polynomial is carried as one integer, its value
+    at y = 2^W with W = 2n + 1, so a node costs a few integer additions:
+    every coefficient is nonnegative and at most the polynomial's value at
+    y = 1, which on k <= n vertices is 2^k for q1, q2 and q3 and 3^k for
+    Q1, below 2^W.  So each coefficient fills its own W-bit slot, and no
+    sum or product by an isolated-vertex factor carries from one slot into
+    the next.  The root's integer is unpacked once (``UniPoly.from_packed``).
+
+    Each memo node counts as one cell of ``size_guard``, so an unforced
+    call stops when the memo outgrows the cell limit.  ``graph_poly`` is
+    the nullity-sum oracle.
+    """
+    if which not in ("q1", "q2", "q3", "Q1"):
+        raise ValueError(f"unknown polynomial name {which!r}")
+    width = 2 * graph.n + 1
+    y = 1 << width
     matrix = graph.matrix
-    if which == "q3":
-        matrix = matrix.with_toggled_diagonal(matrix.ground.full_mask)
-    rule = _matrix_rule("Q1" if which == "Q1" else "q1")
+    if which == "q2":
+        rows = tuple(r & ~(1 << i) for i, r in enumerate(matrix.rows))
+        rule = _q2_rule(y)
+    else:
+        if which == "q3":
+            matrix = matrix.with_toggled_diagonal(matrix.ground.full_mask)
+        rows = matrix.rows
+        rule = _matrix_rule("Q1" if which == "Q1" else "q1", y)
     what = f"{which} by matrix recursion on {graph.n} vertices, one cell per memo node,"
     nodes = 0
 
@@ -430,8 +527,7 @@ def graph_recursive(graph: Graph, which: Which) -> UniPoly:
         size_guard(nodes, what)
         return rule(rows)
 
-    one = UniPoly.const(1)
-    return _recurse(matrix.rows, counted, lambda rows: one)
+    return UniPoly.from_packed(_recurse(rows, counted, lambda rows: 1), width)
 
 
 def q1_normal_step(

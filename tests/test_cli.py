@@ -508,7 +508,7 @@ def test_cli_from_graph_and_verify(triangle_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out and "graph roundtrip" in out
     recursion_lines = [line for line in out.splitlines() if "graph recursion vs nullity sum" in line]
-    assert recursion_lines == [f"ok  graph recursion vs nullity sum {which}" for which in ("q1", "q3", "Q1")]
+    assert recursion_lines == [f"ok  graph recursion vs nullity sum {which}" for which in ("q1", "q2", "q3", "Q1")]
 
 
 def test_cli_verify_setsystem(m0_path, capsys):
@@ -594,8 +594,9 @@ def test_cli_exit_codes(tmp_path, triangle_path, capsys, monkeypatch):
         json.dumps({"type": "graph", "vertices": labels, "edges": [list(e) for e in zip(labels, labels[1:])]})
     )
     # the matrix recursion expands a path in a few nodes per vertex; the set system has 2^30 cells
-    assert main(["poly", "--which", "q1", "--input", str(path)]) == 0
-    assert sum(json.loads(capsys.readouterr().out)) == 2**30
+    for which in ("q1", "q2"):
+        assert main(["poly", "--which", which, "--input", str(path)]) == 0
+        assert sum(json.loads(capsys.readouterr().out)) == 2**30
     assert main(["poly", "--which", "q1", "--via-system", "--input", str(path)]) == 2
     capsys.readouterr()
     unknown = tmp_path / "word.json"
@@ -653,6 +654,23 @@ def test_cli_force_reaches_the_support_enumeration(triangle_path, capsys, monkey
         assert "over the limit of 4" in capsys.readouterr().err
         assert main([*command, "--force", "--input", triangle_path]) == 0
         assert capsys.readouterr().out == out
+
+
+def test_cli_eval_on_24_vertices_takes_the_matrix_recursion(tmp_path, capsys):
+    graph = random_graph(random.Random(24), 24, edge_p=0.1)
+    path = tmp_path / "graph24.json"
+    path.write_text(emit_document(graph))
+    for which, at_one in (("q1", 2**24), ("q2", 2**24), ("q3", 2**24), ("Q1", 3**24)):
+        assert main(["eval", "--which", which, "--at", "1", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == f"{at_one}\n"
+
+
+def test_cli_wide_representation_is_refused_before_its_column_sets(tmp_path, capsys):
+    path = tmp_path / "rep26.json"
+    path.write_text(emit_document(simple_representation(random.Random(3), 26, 13)))
+    assert main(["tutte", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "the 26-column, rank-13 representation's column sets needs 10,400,600 cells" in err
 
 
 def test_cli_verify_force_above_the_limit(tmp_path, capsys):

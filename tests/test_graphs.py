@@ -25,7 +25,8 @@ from deltapoly import (
     system_to_graph,
 )
 from deltapoly.gf2 import Gf2Matrix, ppt, schur_complement
-from deltapoly.recursion import _edge_pivot, _schur
+from deltapoly.interlace import UniPoly
+from deltapoly.recursion import _edge_pivot, _offdiagonal_minors, _schur
 from deltapoly.setsystem import GroundSet
 from support import FIG_ORBIT, M0, TRIANGLE_TWO_LOOPS, random_graph, random_graphs, random_symmetric_matrix
 
@@ -313,8 +314,8 @@ def test_marked_bracket_random_graphs():
 
 @st.composite
 def graphs_and_polys(draw):
-    """A random graph with drawn edge and loop densities, up to 10 vertices for q1 and q3 and 8 for Q1."""
-    which = draw(st.sampled_from(["q1", "q3", "Q1"]))
+    """A random graph with drawn edge and loop densities, up to 10 vertices for q1, q2 and q3 and 8 for Q1."""
+    which = draw(st.sampled_from(["q1", "q2", "q3", "Q1"]))
     n = draw(st.integers(0, 8 if which == "Q1" else 10))
     edge_p, loop_p = draw(st.floats(0, 1)), draw(st.floats(0, 1))
     return random_graph(random.Random(draw(st.integers(0, 2**32))), n, edge_p, loop_p), which
@@ -335,7 +336,7 @@ def test_graph_recursion_matches_poly_direct_on_corpora(delta_corpus, vf_corpus)
         except NotAGraphError:
             continue
         supports += 1
-        for which in ("q1", "q3", "Q1"):
+        for which in ("q1", "q2", "q3", "Q1"):
             assert graph_recursive(graph, which) == poly_direct(system, which), (system, which)
     assert supports >= 150
 
@@ -361,18 +362,61 @@ def test_matrix_steps_match_gf2_pivots():
     assert steps > 200
 
 
+def _cleared(matrix: Gf2Matrix) -> tuple[int, ...]:
+    return tuple(r & ~(1 << i) for i, r in enumerate(matrix.rows))
+
+
+def test_q2_steps_match_gf2_schur_complements():
+    # q2's children are the off-diagonal parts of the Schur complements at a
+    # with a looped, and at {a, b} with a unlooped and b unlooped or looped
+    rng = random.Random(27)
+    steps = 0
+    for _ in range(300):
+        matrix = random_symmetric_matrix(rng, rng.randint(2, 8))
+        nbrs = matrix.rows[0] >> 1
+        if not nbrs:
+            continue
+        cleared = matrix.with_toggled_diagonal(sum(r & 1 << i for i, r in enumerate(matrix.rows)))
+        deletion = [r >> 1 for r in _cleared(matrix)[1:]]
+        b = nbrs & -nbrs
+        pair = 1 | b << 1
+        expected = (
+            _cleared(schur_complement(cleared.with_toggled_diagonal(1), 1)),
+            _cleared(schur_complement(cleared, pair)),
+            _cleared(schur_complement(cleared.with_toggled_diagonal(b << 1), pair)),
+        )
+        assert _offdiagonal_minors(deletion, nbrs) == expected
+        steps += 1
+    assert steps > 200
+
+
 def test_graph_recursion_examples():
     assert graph_recursive(TRIANGLE_TWO_LOOPS, "q1").coeff_list() == [5, 3]
+    assert graph_recursive(TRIANGLE_TWO_LOOPS, "q2") == graph_poly(TRIANGLE_TWO_LOOPS, "q2")
     empty = Graph.from_edges([])
-    for which in ("q1", "q3", "Q1"):
+    for which in ("q1", "q2", "q3", "Q1"):
         assert graph_recursive(empty, which).coeff_list() == [1]
     looped, unlooped = Graph.from_edges(["u"], loops=["u"]), Graph.from_edges(["u"])
     assert graph_recursive(looped, "q1").coeff_list() == [2]
     assert graph_recursive(unlooped, "q1").coeff_list() == [1, 1]
     assert graph_recursive(looped, "q3").coeff_list() == [1, 1]
     assert graph_recursive(unlooped, "Q1").coeff_list() == [2, 1]
+    assert graph_recursive(looped, "q2").coeff_list() == [1, 1]
     with pytest.raises(ValueError):
-        graph_recursive(TRIANGLE_TWO_LOOPS, "q2")
+        graph_recursive(TRIANGLE_TWO_LOOPS, "Q")
+
+
+def test_graph_recursion_packs_without_carries():
+    # 30 isolated vertices: each factor multiplies once per vertex; the largest
+    # coefficient, C(30, 10) 2^20 of (y+2)^30, is about 2^45, in 61-bit slots
+    labels = [f"v{i}" for i in range(30)]
+    unlooped, looped = Graph.from_edges(labels), Graph.from_edges(labels, loops=labels)
+    y1, y2, two = UniPoly.binomial_power(1, 30), UniPoly.binomial_power(2, 30), UniPoly.const(2**30)
+    for graph, q1, q3 in ((unlooped, y1, two), (looped, two, y1)):
+        assert graph_recursive(graph, "q1") == q1
+        assert graph_recursive(graph, "q2") == y1
+        assert graph_recursive(graph, "q3") == q3
+        assert graph_recursive(graph, "Q1") == y2
 
 
 def test_graph_recursion_on_24_vertices():
@@ -386,3 +430,9 @@ def test_graph_recursion_on_24_vertices():
     # a pivot on an edge whose 2x2 block is nonsingular: its ends are not both looped
     u, v = next((u, v) for u, v in graph.edges() if not (graph.has_loop(u) and graph.has_loop(v)))
     assert graph_recursive(graph_flip(graph, "pivot", [u, v]), "q1") == q1
+
+
+def test_graph_q2_recursion_on_24_dense_vertices():
+    # half the pairs joined: graph_poly refuses this size, and the memo stays under the cell limit
+    q2 = graph_recursive(random_graph(random.Random(24), 24), "q2")
+    assert q2.evaluate(1) == 2**24

@@ -61,23 +61,6 @@ def unpack_rows(rows: Sequence[int], ncols: int) -> list[list[int]]:
     return [[r >> j & 1 for j in range(ncols)] for r in rows]
 
 
-def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
-    """Basis of {x : every row is orthogonal to x}, vectors over the columns."""
-    reduced = gf2_row_reduce(rows)
-    pivot_cols = [(b & -b).bit_length() - 1 for b in reduced]
-    pivot_set = set(pivot_cols)
-    kernel = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = 1 << j
-        for b, pc in zip(reduced, pivot_cols):
-            if b >> j & 1:
-                vec |= 1 << pc
-        kernel.append(vec)
-    return kernel
-
-
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Square GF(2) matrix with rows stored as bitmasks over the ground set."""

@@ -164,16 +164,18 @@ def local_complement(graph: Graph, vertex) -> Graph:
 def loopless_local_complement(graph: Graph, vertex) -> Graph:
     """Complement the neighbourhood of a vertex without touching the diagonal."""
     bit = graph.ground.coerce(vertex)
-    i = bit.bit_length() - 1
-    nb = graph.matrix.rows[i] & ~bit
-    rows = list(graph.matrix.rows)
-    r = nb
+    nb = graph.matrix.rows[bit.bit_length() - 1] & ~bit
+    return Graph(Gf2Matrix(graph.ground, tuple(_join_off_diagonal(list(graph.matrix.rows), nb))))
+
+
+def _join_off_diagonal(rows: list[int], among: Mask) -> list[int]:
+    """Toggle every entry (i, j) with i != j both in among, and return rows."""
+    r = among
     while r:
         low = r & -r
         r ^= low
-        j = low.bit_length() - 1
-        rows[j] ^= nb & ~low  # keep the diagonal as it was
-    return Graph(Gf2Matrix(graph.ground, tuple(rows)))
+        rows[low.bit_length() - 1] ^= among ^ low
+    return rows
 
 
 def elementary_pivots(graph: Graph) -> list[Mask]:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Optional, Sequence
 
 from . import cube
 from .delta import is_delta_matroid
 from .errors import PreconditionError, size_guard
-from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_row_reduce, pack_rows, unpack_rows
+from .gf2 import Gf2Matrix, gf2_rank, gf2_row_reduce, pack_rows, support_set_system, unpack_rows
 from .graphs import Graph, graph_to_system
 from .interlace import SparsePoly, UniPoly, poly_direct
 from .recursion import _recurse, q1_multiplicative_step
@@ -86,16 +85,6 @@ class Representation:
     @property
     def ncols(self) -> int:
         return self.columns.n
-
-    def column_vector(self, j: int) -> int:
-        vec = 0
-        for i, row in enumerate(self.rows):
-            if row >> j & 1:
-                vec |= 1 << i
-        return vec
-
-    def rank(self) -> int:
-        return gf2_rank(self.rows)
 
     def to_lists(self) -> list[list[int]]:
         return unpack_rows(self.rows, self.ncols)
@@ -209,19 +198,38 @@ def tutte_diagonal_check(matroid: Matroid) -> tuple[UniPoly, UniPoly, bool]:
 
 
 def binary_matroid_from_matrix(rep: Representation) -> Matroid:
-    """Column matroid over GF(2): bases are the maximal independent column sets.
+    """Column matroid over GF(2), as the pivoted support of its fundamental graph.
 
-    Every r-column set is ranked, so ``size_guard`` counts C(n, r) cells.
+    Row-reduce to the RREF R, whose rows have their pivots as lowest set
+    bits, and let B be the pivot columns: up to a column order R = [I | A],
+    and B is a basis.  An r-set X is a basis iff the columns of R on X are
+    independent.  Split X into B - Y and Z, with Y in B and Z outside it;
+    expanding the determinant along the identity columns of B - Y leaves
+    the square block A[Y, Z], so X is a basis iff A[Y, Z] is nonsingular.
+    The principal submatrix of the fundamental graph [[0, A], [A^T, 0]] on
+    Y + Z = X ^ B is [[0, A[Y, Z]], [A[Y, Z]^T, 0]], nonsingular exactly
+    when A[Y, Z] is square and nonsingular.  So the bases are the support
+    system of that graph pivoted on B, the fact ``fundamental_graph``
+    checks from the other side.  A basis column's row is its RREF row
+    without the pivot; a non-basis column joins every pivot whose row
+    holds it.
+
+    ``support_set_system`` guards its 2^n cells; the ``Matroid``
+    constructor still checks basis exchange.
     """
-    r = rep.rank()
-    n = rep.ncols
-    size_guard(comb(n, r), f"the {n}-column, rank-{r} representation's column sets")
-    columns = [rep.column_vector(j) for j in range(n)]
-    bases = []
-    for combo in combinations(range(n), r):
-        if gf2_rank([columns[j] for j in combo]) == r:
-            bases.append(sum(1 << j for j in combo))
-    return Matroid(SetSystem(rep.columns, tuple(bases)), representation=rep)
+    reduced = gf2_row_reduce(rep.rows)
+    rows = [0] * rep.ncols
+    pivots = 0
+    for row in reduced:
+        pivot = row & -row
+        pivots |= pivot
+        rest = rows[pivot.bit_length() - 1] = row ^ pivot
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rows[low.bit_length() - 1] |= pivot
+    graph = Gf2Matrix(rep.columns, tuple(rows))
+    return Matroid(support_set_system(graph).pivot(pivots), representation=rep)
 
 
 def dual_pivot_min_distance(system: SetSystem) -> int:
@@ -230,18 +238,16 @@ def dual_pivot_min_distance(system: SetSystem) -> int:
 
 
 def bicycle_dimension(rep: Representation) -> int:
-    """Dimension of the intersection of the kernel and the row space.
+    """Dimension of the intersection of the row space C with its orthogonal
+    complement C_perp, both over the columns.
 
-    Both sit inside the column-indexed vector space; the dimension comes
-    from dim C + dim C_perp - dim(C + C_perp).
+    With R the k reduced rows, every x in C is yR for exactly one y, and x
+    lies in C_perp iff R x^T = 0, that is R R^T y^T = 0.  So the dimension is
+    k - rank(R R^T), the Gram entries being parities of row overlaps.
     """
-    n = rep.ncols
-    kernel = gf2_kernel_basis(rep.rows, n)
-    rowspace = gf2_row_reduce(rep.rows)
-    dim_c = len(kernel)
-    dim_cp = len(rowspace)
-    dim_sum = gf2_rank(list(kernel) + list(rowspace))
-    return dim_c + dim_cp - dim_sum
+    reduced = gf2_row_reduce(rep.rows)
+    gram = [sum(((a & b).bit_count() & 1) << j for j, b in enumerate(reduced)) for a in reduced]
+    return len(reduced) - gf2_rank(gram)
 
 
 @dataclass(frozen=True)
@@ -295,7 +301,9 @@ def fundamental_graph(matroid: Matroid, basis: Subset) -> Graph:
     in the fundamental circuit of e iff the toggle by b and e is a basis.
 
     The support system of the result, pivoted on the basis, recovers the
-    matroid; this is verified on every call.
+    matroid; this is verified on every call.  ``binary_matroid_from_matrix``
+    runs the same fact the other way: it reads the graph on the pivot basis
+    off the reduced rows and builds the bases from its support.
     """
     b = matroid.ground.coerce(basis)
     bases = set(matroid.carrier.family)

@@ -28,7 +28,7 @@ from typing import Any, Callable, Hashable, Literal, Optional
 
 from .delta import is_delta_matroid, is_vf_closed
 from .errors import PreconditionError, size_guard
-from .graphs import Graph
+from .graphs import Graph, _join_off_diagonal
 from .interlace import SparsePoly as Poly, UniPoly, Which, poly_direct
 from .setsystem import Mask, SetSystem, full_flip_explicit
 
@@ -157,11 +157,11 @@ def _recurse(root: Hashable, rule: Rule, leaf: Callable[[Hashable], Any], trace:
     try:
         return go(root)
     finally:
-        if not trace:
-            # go's closure is a reference cycle, and no caller holds the memo's
-            # states and values: free them now, not at a later collection
-            memo.clear()
-            shared.clear()
+        # go's closure is a reference cycle, and no caller holds the memo
+        # itself (a returned trace keeps the nodes it needs): free it now, not
+        # at a later collection
+        memo.clear()
+        shared.clear()
 
 
 # Operation labels of the deletion, pivot-deletion and dual-pivot-deletion
@@ -401,16 +401,6 @@ def _matrix_rule(which: Literal["q1", "Q1"], y: int) -> Rule:
         return "a", None, (minus_a, ("G*ab-a", _edge_pivot(deletion, nbrs)))
 
     return rule
-
-
-def _join_off_diagonal(rows: list[int], among: Mask) -> list[int]:
-    """Toggle every entry (i, j) with i != j both in among, and return rows."""
-    r = among
-    while r:
-        low = r & -r
-        r ^= low
-        rows[low.bit_length() - 1] ^= among ^ low
-    return rows
 
 
 def _offdiagonal_minors(deletion: list[int], nbrs: Mask) -> tuple[tuple[int, ...], ...]:

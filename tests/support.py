@@ -20,6 +20,7 @@ from deltapoly import (
     binary_matroid_from_matrix,
     graph_to_system,
 )
+from deltapoly.gf2 import gf2_rank
 from deltapoly.setsystem import iter_submasks
 
 LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -195,3 +196,16 @@ def multivariate_Q_bruteforce(system: SetSystem) -> dict[tuple[int, int], int]:
         for b in iter_submasks(full & ~c):
             entries[(b, c)] = min((b ^ m).bit_count() for m in cur.family)
     return entries
+
+
+def bases_by_ranking(rep: Representation) -> Matroid:
+    """Oracle for binary_matroid_from_matrix: rank every r-column set, r the rank of the rows."""
+    n = rep.ncols
+    columns = [sum((row >> j & 1) << i for i, row in enumerate(rep.rows)) for j in range(n)]
+    r = gf2_rank(rep.rows)
+    bases = [
+        sum(1 << j for j in combo)
+        for combo in combinations(range(n), r)
+        if gf2_rank([columns[j] for j in combo]) == r
+    ]
+    return Matroid(SetSystem(rep.columns, tuple(bases)), representation=rep)

@@ -1,8 +1,10 @@
 """Command-line surface: documents, words, subcommands, exit codes."""
 
+import gc
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -19,6 +21,7 @@ from deltapoly import (
     is_vf_closed,
     poly_direct,
     q1_recursive,
+    system_to_graph,
     uniform_matroid,
 )
 from deltapoly.cli import (
@@ -670,7 +673,42 @@ def test_cli_wide_representation_is_refused_before_its_column_sets(tmp_path, cap
     path.write_text(emit_document(simple_representation(random.Random(3), 26, 13)))
     assert main(["tutte", "--input", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "the 26-column, rank-13 representation's column sets needs 10,400,600 cells" in err
+    assert "principal-minor enumeration at n=26 needs 67,108,864 cells" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "tutte"])
+def test_cli_22_column_representation_is_refused_at_once(command, tmp_path, capsys):
+    path = tmp_path / "rep22.json"
+    path.write_text(emit_document(simple_representation(random.Random(3), 22, 11)))
+    start = time.perf_counter()
+    assert main([command, "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "principal-minor enumeration at n=22 needs 4,194,304 cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_cli_repeated_tree_recomputes_the_binary_certificate(collect, tmp_path, capsys, monkeypatch):
+    # the trace memo is freed on return, so no command's system outlives it and
+    # the verdict cache never carries over, whether or not the collector runs
+    calls = 0
+
+    def counted(system):
+        nonlocal calls
+        calls += 1
+        return system_to_graph(system)
+
+    monkeypatch.setattr("deltapoly.delta.system_to_graph", counted)
+    path = tmp_path / "twisted6.json"
+    path.write_text(emit_document(twisted_graph_systems(seed=28, count=1, n_min=6, n_max=6)[0]))
+    was_enabled = gc.isenabled()
+    (gc.enable if collect else gc.disable)()
+    try:
+        for _ in range(200):
+            assert main(["tree", "--which", "q1", "--input", str(path)]) == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert calls == 200
 
 
 def test_cli_verify_force_above_the_limit(tmp_path, capsys):

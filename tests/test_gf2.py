@@ -18,7 +18,7 @@ from deltapoly import (
     schur_complement,
     support_set_system,
 )
-from deltapoly.gf2 import gf2_kernel_basis, gf2_rank, gf2_row_reduce
+from deltapoly.gf2 import gf2_rank, gf2_row_reduce
 from support import TRIANGLE_TWO_LOOPS, M0, random_symmetric_matrix
 
 
@@ -46,15 +46,6 @@ def test_rank_and_reduce():
     assert gf2_rank([]) == 0
     basis = gf2_row_reduce([0b011, 0b101, 0b110, 0b000])
     assert len(basis) == 2
-
-
-def test_kernel_basis():
-    # single row (1,1,1): kernel is spanned by (1,1,0) and (1,0,1)
-    kernel = gf2_kernel_basis([0b111], 3)
-    assert len(kernel) == 2
-    for v in kernel:
-        assert (0b111 & v).bit_count() % 2 == 0
-    assert gf2_kernel_basis([], 2) == [1, 2]
 
 
 def test_det_nullity_examples():

@@ -34,6 +34,7 @@ from deltapoly.cube import is_basis_family, members, rank_layers
 from deltapoly.delta import _exchange_axiom
 from support import (
     LABELS,
+    bases_by_ranking,
     graphic_matroid,
     random_binary_matroids,
     random_representation,
@@ -269,6 +270,58 @@ def test_binary_matroid_construction():
     assert eye.bases() == (3,)
     zero = binary_matroid_from_matrix(Representation.from_rows(["1", "2"], [[0, 0]]))
     assert zero.bases() == (0,)
+
+
+def _edge_case_representation(rng):
+    """Up to 10 columns and 6 rows at a drawn density, then maybe a zero row,
+    a zero column or a column repeated."""
+    ncols = rng.randint(0, 10)
+    density = rng.choice((0.0, 0.2, 0.5, 0.9))
+    rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    if ncols and rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if ncols > 1 and rng.random() < 0.3:
+        src, dst = rng.sample(range(ncols), 2)
+        for row in rows:
+            row[dst] = row[src]
+    return Representation.from_rows([str(j + 1) for j in range(ncols)], rows)
+
+
+def test_binary_matroid_matches_ranking_oracle():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(400):
+        rep = _edge_case_representation(rng)
+        matroid = binary_matroid_from_matrix(rep)
+        assert matroid == bases_by_ranking(rep)
+        rows, n = rep.to_lists(), rep.ncols
+        columns = [tuple(row[j] for row in rows) for j in range(n)]
+        seen.add("rank 0" if matroid.rank == 0 else "full rank" if matroid.rank == n else "other")
+        if any(not any(row) for row in rows):
+            seen.add("zero row")
+        if any(not any(col) for col in columns):
+            seen.add("zero column")
+        if len(set(columns)) < n:
+            seen.add("repeated column")
+    assert seen == {"rank 0", "full rank", "other", "zero row", "zero column", "repeated column"}
+    for ncols, nrows in ((16, 8), (20, 10)):
+        rep = simple_representation(random.Random(3), ncols, nrows)
+        assert binary_matroid_from_matrix(rep) == bases_by_ranking(rep)
+
+
+def test_bicycle_dimension_counts_orthogonal_row_space_vectors():
+    rng = random.Random(29)
+    for _ in range(300):
+        rep = _edge_case_representation(rng)
+        span = {0}
+        for row in rep.rows:
+            span |= {v ^ row for v in span}
+        orthogonal = sum(all((v & row).bit_count() % 2 == 0 for row in rep.rows) for v in span)
+        assert orthogonal == 1 << bicycle_dimension(rep)
 
 
 def test_binary_matroids_are_vf_closed():
